@@ -357,10 +357,15 @@ class _Renamer:
                 tuple(self.key(t) for t in item.payload))
 
 
-def state_key(state: SymbolicState):
+def state_key(state: SymbolicState, focus: Optional[int] = None,
+              marked: Optional[tuple] = None):
     """Canonical dedup key, invariant under the structural axioms (payloads
     are assumed normalized) and under renaming of variables and fresh
-    constants.  Depth is not part of the key."""
+    constants.  Depth is not part of the key.
+
+    A strand index `focus` or a tuple of terms `marked` singles out part
+    of the state; either makes the key hold it too, renamed the same way.
+    """
     strands = sorted(state.strands, key=_strand_skeleton)
     facts = sorted(state.facts, key=lambda f: (f.kind, _skeleton_key(f.payload)))
     diseqs = sorted(state.diseqs,
@@ -371,7 +376,15 @@ def state_key(state: SymbolicState):
                  for st in strands)
     fkey = tuple((f.kind, ren.key(f.payload)) for f in facts)
     dkey = tuple(tuple(sorted((ren.key(l), ren.key(r)))) for (l, r) in diseqs)
-    return (skey, fkey, dkey)
+    key = (skey, fkey, dkey)
+    if focus is None and marked is None:
+        return key
+    fk = None
+    if focus is not None:
+        st = state.strands[focus]
+        fk = (st.role, st.bar, tuple(ren.item_key(it) for it in st.items))
+    mk = None if marked is None else frozenset(ren.key(t) for t in marked)
+    return (key, fk, mk)
 
 
 def check_wellformed(schema: StrandSchema, signature, th: EquationalTheory) -> list:

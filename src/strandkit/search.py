@@ -104,20 +104,20 @@ class SearchResult:
 
 
 class _Node:
-    __slots__ = ("state", "rule", "parent", "focus", "uses", "key")
+    __slots__ = ("state", "rule", "parent", "focus", "demands", "uses", "key")
 
-    def __init__(self, state, rule, parent, focus=None, uses=None):
+    def __init__(self, state, rule, parent, focus=None, demands=None):
         self.state = state
         self.rule = rule
         self.parent = parent
         self.focus = focus  # strand whose silent send was just undone
-        # term keys of the demands the strand introduction just undone made
-        self.uses = uses
+        # the demands the strand introduction just undone made, and their
+        # term keys
+        self.demands = demands
+        self.uses = None if demands is None else \
+            frozenset(term_key(t) for t in demands)
         # a focused state allows fewer steps, so it is kept apart
-        self.key = state_key(state)
-        if focus is not None or uses is not None:
-            self.key = (self.key, focus is not None and
-                        _strand_label(state.strands[focus]), uses)
+        self.key = state_key(state, focus, demands)
 
 
 def _goal(state: SymbolicState, lazy_vars: bool) -> bool:
@@ -411,11 +411,12 @@ def reachability_search(start: SymbolicState, spec: RuntimeSpec, mode: str,
                                     uses=node.uses)
         for step in steps:
             pred = step.predecessor
-            focus = uses = None
+            focus = demands = None
             if reductions:
                 focus = _silent_strand(state, step)
-                uses = _made_demands(step) if focus is None else node.uses
-            child = _Node(pred, step.rule, node, focus, uses)
+                demands = _made_demands(step) if focus is None \
+                    else node.demands
+            child = _Node(pred, step.rule, node, focus, demands)
             if best.get(child.key, pred.depth + 1) <= pred.depth:
                 stats["deduped"] += 1
                 continue
@@ -439,7 +440,7 @@ def reachability_search(start: SymbolicState, spec: RuntimeSpec, mode: str,
                    for g in bucket[:_SUBSUME_SCAN_CAP]):
                 stats["subsumed"] += 1
                 continue
-            if focus is None and uses is None:
+            if focus is None and demands is None:
                 bucket.append(pred)  # a focused state explores too little
             stats["states_enqueued"] += 1
             stats["max_depth_reached"] = max(stats["max_depth_reached"],
@@ -493,16 +494,12 @@ def _silent_strand(state: SymbolicState, step) -> Optional[int]:
                 if p.bar != s.bar)
 
 
-def _made_demands(step) -> Optional[frozenset]:
-    """The term keys of the demands a strand introduction made, which the
-    next step must use; None for other steps."""
+def _made_demands(step) -> Optional[tuple]:
+    """The demands a strand introduction made, which the next step must
+    use; None for other steps."""
     if not step.rule.startswith("intro_strand") or not step.demands:
         return None
-    return frozenset(term_key(t) for t in step.demands)
-
-
-def _strand_label(s) -> tuple:
-    return (s.role, s.bar, repr(s.items))
+    return step.demands
 
 
 def unlearnable(state: SymbolicState, grammar) -> bool:

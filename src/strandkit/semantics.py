@@ -95,8 +95,7 @@ def _with_bars(state: SymbolicState, updates: dict) -> SymbolicState:
     return replace(state, strands=tuple(strands))
 
 
-def _add_fact(state: SymbolicState, fact: IntruderFact,
-              th: EquationalTheory) -> SymbolicState:
+def _add_fact(state: SymbolicState, fact: IntruderFact) -> SymbolicState:
     for f in state.facts:
         if f.kind == fact.kind and term_key(f.payload) == term_key(fact.payload):
             return state
@@ -242,7 +241,7 @@ def backward_successors(state: SymbolicState, spec: RuntimeSpec, mode: str,
         m = item.payload
         if item.polarity == "-":
             emit("recv", IDENTITY,
-                 _add_fact(_retract(state, si), IntruderFact(KNOWN, m), th),
+                 _add_fact(_retract(state, si), IntruderFact(KNOWN, m)),
                  added=(m,))
             for fi, f in active:
                 for sg in unifiers(m, f.payload):
@@ -301,7 +300,7 @@ def backward_successors(state: SymbolicState, spec: RuntimeSpec, mode: str,
                         unifiers(inst.items[idx].payload, f.payload):
                     pred = _flip_fact(state, fi)
                     for d in demands:
-                        pred = _add_fact(pred, IntruderFact(KNOWN, d), th)
+                        pred = _add_fact(pred, IntruderFact(KNOWN, d))
                     emit(f"intro_strand:{role}", sg, pred, fi, tuple(demands))
     return steps
 

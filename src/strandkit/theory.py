@@ -74,6 +74,37 @@ class EquationalTheory:
             object.__setattr__(self, "_axiom_map", m)
         return m.get(op)
 
+    def rule_index(self) -> dict:
+        """The rules to try under each head symbol, built once per theory.
+
+        Entries are (lhs, rhs, lhs', rhs') in declaration order; lhs' and
+        rhs' have their variables renamed with a `%rule` suffix, apart from
+        any subject term, for matching.
+
+        Two canonical applications with different heads unify only when
+        one head is nilpotent.  So `index[op]` holds the rules whose
+        canonical left side has head `op`, plus the wild rules: those whose
+        canonical left side is not an application or has a nilpotent head.
+        A nilpotent `op` gets every rule, and `index[None]` holds the wild
+        rules alone, for any other head.
+        """
+        m = self.__dict__.get("_rule_index")
+        if m is None:
+            entries = []  # (head, entry), head None for a wild rule
+            for lhs, rhs in self.rules:
+                ren = Subst({v: Var(v.name + "%rule", v.sort)
+                             for v in variables(lhs)}, _trusted=True)
+                c = canon(lhs, self)
+                head = c.op if isinstance(c, App) and \
+                    not self.is_nilpotent(c.op) else None
+                entries.append((head, (lhs, rhs, ren(lhs), ren(rhs))))
+            ops = {None} | {h for h, _ in entries} | set(self.nilpotent_ops())
+            m = {op: tuple(e for h, e in entries
+                           if h in (op, None) or self.is_nilpotent(op))
+                 for op in ops}
+            object.__setattr__(self, "_rule_index", m)
+        return m
+
     def is_ac(self, op: str) -> bool:
         ax = self.axiom(op)
         return ax is not None and ax.assoc and ax.comm
@@ -274,23 +305,6 @@ class _Budget:
 
 
 _norm_cache: dict = {}
-_rule_cache: dict = {}
-
-
-def _rule_info(th: EquationalTheory):
-    """Per-theory precomputation: rule lhs head symbols and rules with
-    their variables renamed apart from any subject term."""
-    info = _rule_cache.get(th)
-    if info is None:
-        heads = {lhs.op for lhs, _ in th.rules if isinstance(lhs, App)}
-        renamed = []
-        for lhs, rhs in th.rules:
-            ren = {v: Var(v.name + "%rule", v.sort) for v in variables(lhs)}
-            s = Subst(ren, _trusted=True)
-            renamed.append((s(lhs), s(rhs)))
-        info = (heads, tuple(renamed))
-        _rule_cache[th] = info
-    return info
 
 
 def normalize(t: Term, th: EquationalTheory) -> Term:
@@ -341,12 +355,9 @@ def _normalize(t: Term, th: EquationalTheory, budget: _Budget) -> Term:
 
 
 def _rewrite_root(t: App, th: EquationalTheory, budget: _Budget) -> Optional[Term]:
-    heads, rules = _rule_info(th)
-    if t.op not in heads:
-        return None
-    for lhs_r, rhs_r in rules:
-        if isinstance(lhs_r, App) and lhs_r.op != t.op:
-            continue
+    for _, _, lhs_r, rhs_r in th.rule_index().get(t.op, ()):
+        if not isinstance(lhs_r, App) or lhs_r.op != t.op:
+            continue  # match_ax needs the same head
         for b in match_ax(lhs_r, t, th):
             budget.spend()
             return canon(Subst(b, _trusted=True)(rhs_r), th)

@@ -95,10 +95,6 @@ def _bind(v: Var, t: Term, subst: dict, th: EquationalTheory) -> Optional[dict]:
         return subst
     if v in variables(t):
         return None
-    if not isinstance(t, Var):
-        # fresh constants live in their own sort, which variables of any
-        # message sort may range over is wrong: require proper sort order
-        pass
     new = {v: t}
     out = {}
     for w, u in subst.items():
@@ -108,6 +104,8 @@ def _bind(v: Var, t: Term, subst: dict, th: EquationalTheory) -> Optional[dict]:
 
 
 def _apply(m: dict, t):
+    if not m:
+        return t
     if isinstance(t, Var):
         got = m.get(t)
         if got is None:
@@ -360,12 +358,15 @@ def _pair_key(u, sigma, base_vars):
 def _narrow_once(u: Term, sigma: Subst, th: EquationalTheory, base_vars):
     from .terms import positions, replace_at, subterm_at
 
+    index = th.rule_index()
+    wild = index[None]
     results = []
     for pos in positions(u):
         sub = subterm_at(u, pos)
         if not isinstance(sub, App):
             continue
-        for lhs, rhs in th.rules:
+        # u is normal, so sub is canonical: the other rules cannot unify
+        for lhs, rhs, _, _ in index.get(sub.op, wild):
             _variant_counter[0] += 1
             suffix = f"v{_variant_counter[0]}"
             ren = {v: Var(f"{v.name}%{suffix}", v.sort) for v in variables(lhs)}
@@ -561,7 +562,6 @@ def xor_unify(t1: Term, t2: Term, th: EquationalTheory, leq=None) -> UnifierSet:
     return UnifierSet(tuple(minimized), not budget.blown)
 
 
-_freeze_counter = [0]
 _FREEZE_PREFIX = "%frz%"
 
 

@@ -162,7 +162,8 @@ def test_criterion_04_plain_nsl_secrecy_bounded():
     spec = runtime_spec(doc, BASIC)
     start = attack_state(doc, "secrecy", spec, Minter())
     budget = SearchBudget(max_depth=10, max_states=100_000,
-                          wall_seconds=T_SECRECY_SEARCH * 0.9)
+                          wall_seconds=T_SECRECY_SEARCH * 0.9,
+                          max_rss_mb=2048)
     result = reachability_search(start, spec, BASIC, budget)
     assert result.verdict != ATTACK_FOUND, result.stats
     if result.verdict == SECURE_FINITE:

@@ -23,6 +23,7 @@ from strandkit.model import (
 from strandkit.search import (
     ATTACK_FOUND,
     SearchBudget,
+    _Node,
     SearchResult,
     TraceStep,
     reachability_search,
@@ -31,7 +32,7 @@ from strandkit.search import (
     unlearnable,
 )
 from strandkit.semantics import BASIC, SYNC, backward_successors, runtime_spec
-from strandkit.terms import Var, term_key
+from strandkit.terms import App, FreshConst, Var, term_key
 
 from test_cli import TINY
 
@@ -159,3 +160,45 @@ def test_reductions_keep_verdicts(name):
         assert reduced.stats["depth"] == plain.stats["depth"]
         assert trace_replay(reduced, spec, mode)
     assert reduced.stats["states_enqueued"] <= plain.stats["states_enqueued"]
+
+
+def _renamed(t):
+    if isinstance(t, Var):
+        return Var(t.name + "'", t.sort)
+    if isinstance(t, FreshConst):
+        return FreshConst(t.ident + 100, t.hint)
+    return App(t.op, tuple(_renamed(a) for a in t.args), t.sort)
+
+
+def test_focused_node_keys_ignore_renaming():
+    """Renamed copies of a state focused on a strand, or on the demands an
+    introduction made, are one state to the search's dedup."""
+    sig = runtime_spec(load("nsl.strand"), BASIC).signature
+    A, X = Var("A", "Name"), Var("X")
+    r1, r2 = FreshConst(1), FreshConst(2)
+    strands = (
+        StrandInstance("x", (SignedMessage("-", X),
+                             SignedMessage("+", sig.make("pk", A, X))), 2),
+        StrandInstance("y", (SignedMessage("+", sig.make(
+            "n", sig.make("a"), r1)),), 1))
+    facts = (IntruderFact(KNOWN, sig.make("sk", A, X)),
+             IntruderFact(KNOWN, sig.make("n", sig.make("b"), r2)))
+    state = SymbolicState(strands, facts)
+    copy = SymbolicState(
+        tuple(replace(st, items=tuple(
+            SignedMessage(it.polarity, _renamed(it.payload))
+            for it in st.items)) for st in reversed(strands)),
+        tuple(IntruderFact(f.kind, _renamed(f.payload))
+              for f in reversed(facts)))
+    demands = (facts[0].payload,)
+
+    assert _Node(state, "send_silent", None, focus=0).key == \
+        _Node(copy, "send_silent", None, focus=1).key
+    assert _Node(state, "intro_strand:x", None, demands=demands).key == \
+        _Node(copy, "intro_strand:x", None,
+              demands=tuple(map(_renamed, demands))).key
+    # what the state is focused on still tells states apart
+    assert _Node(state, "send_silent", None, focus=0).key != \
+        _Node(copy, "send_silent", None, focus=0).key
+    assert _Node(state, "intro_strand:x", None, demands=demands).key != \
+        _Node(state, "intro_strand:x", None, demands=(facts[1].payload,)).key

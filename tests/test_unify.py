@@ -1,6 +1,22 @@
+import pathlib
+
 import pytest
 
-from strandkit.terms import App, FreshConst, Subst, Var, const, term_key, variables
+from strandkit import unify
+from strandkit.dsl import parse_document
+from strandkit.semantics import BASIC, SYNC, runtime_spec
+from strandkit.terms import (
+    App,
+    FreshConst,
+    Subst,
+    Var,
+    const,
+    positions,
+    replace_at,
+    subterm_at,
+    term_key,
+    variables,
+)
 from strandkit.theory import AxiomDecl, EquationalTheory, eq_modulo, normalize
 from strandkit.unify import (
     UnifierSet,
@@ -170,3 +186,87 @@ def test_unifier_sets_are_deterministic():
     got1 = unify_modulo(d(K, X), Y, ED_TH)
     got2 = unify_modulo(d(K, X), Y, ED_TH)
     assert [repr(s) for s in got1] == [repr(s) for s in got2]
+
+
+SPECS = pathlib.Path(__file__).resolve().parents[1] / "specs"
+
+
+def _narrow_everywhere(u, sigma, th, base_vars):
+    """Reference narrowing step: every rule at every position of u."""
+    out = []
+    for pos in positions(u):
+        sub = subterm_at(u, pos)
+        if not isinstance(sub, App):
+            continue
+        for lhs, rhs in th.rules:
+            unify._variant_counter[0] += 1
+            n = unify._variant_counter[0]
+            rs = Subst({v: Var(f"{v.name}%v{n}", v.sort)
+                        for v in variables(lhs)}, _trusted=True)
+            for theta in unify.unify_canonical(sub, rs(lhs), th):
+                out.append((normalize(theta(replace_at(u, pos, rs(rhs))), th),
+                            sigma.compose(theta)))
+    return out
+
+
+def _variant_keys(t, th):
+    # _pair_key numbers narrowing variables in argument order, and sums
+    # sort their arguments by variable name.  Counter values of one width
+    # make the names sort in creation order, which both runs share.
+    unify._variant_counter[0] = 10**6
+    vs, complete = variants(t, th, 2)
+    base = variables(t)
+    return {unify._pair_key(u, s, base) for u, s in vs}, complete
+
+
+def _spec_terms():
+    """Terms over the theories of the shipped specs, each with its theory."""
+    def spec(name, mode=SYNC):
+        sp = runtime_spec(parse_document((SPECS / name).read_text()), mode)
+        return sp.theory, sp.signature.make
+
+    (nsl, nsl_op), (kd, kd_op), (db, db_op) = spec("nsl.strand", BASIC), \
+        spec("nsl_kd.strand"), spec("nsl_db.strand")
+    A, B = Var("A", "Name"), Var("B", "Name")
+    K = Var("K", "Key")
+    X, Y = Var("X"), Var("Y")
+
+    def pair(t1, t2):
+        return App("%pair", (t1, t2), "Msg")
+
+    na = nsl_op("n", nsl_op("a"), FreshConst(1))
+    return {
+        "nsl-sk": (nsl, nsl_op("sk", A, X)),
+        "nsl-nested": (nsl, nsl_op("pk", A, nsl_op("sk", B, X))),
+        "nsl-pair": (nsl, pair(nsl_op("pk", A, X), nsl_op("sk", B, na))),
+        "kd-d": (kd, kd_op("d", K, X)),
+        "kd-pair": (kd, pair(kd_op("e", K, kd_op("d", K, X)),
+                             kd_op("sk", A, Y))),
+        # sums, narrowed against the pk/sk left sides at the sum itself
+        "db-sum": (db, db_op("*", X, na)),
+        "db-pair": (db, pair(db_op("*", X, Y), db_op("pk", A, X))),
+        "db-nested": (db, db_op("sk", A, db_op("*", X, na))),
+    }
+
+
+SPEC_TERMS = _spec_terms()
+
+
+@pytest.mark.parametrize("name", sorted(SPEC_TERMS))
+def test_variants_match_narrowing_at_every_position(name, monkeypatch):
+    """Narrowing tries a rule only where its left side's head matches, or
+    under exclusive-or; trying every rule everywhere adds no variant."""
+    th, t = SPEC_TERMS[name]
+    monkeypatch.setattr(unify, "_variant_counter", [0])
+    got = _variant_keys(t, th)
+    monkeypatch.setattr(unify, "_narrow_once", _narrow_everywhere)
+    want = _variant_keys(t, th)
+    assert got == want
+    assert len(want[0]) > 1  # some rule applies
+
+
+def test_sum_narrows_against_pk_sk():
+    th, t = SPEC_TERMS["db-sum"]
+    vs, _ = variants(t, th, 1)
+    # X * n(a, r) narrowed with sk(A, pk(A, M)) -> M gives the variant M
+    assert any(isinstance(u, Var) for u, _ in vs)
