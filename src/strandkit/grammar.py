@@ -56,6 +56,7 @@ from .unify import (
     BRANCH_BUDGET,
     _Budget,
     match_modulo,
+    side_variants,
     unify_canonical,
     unify_modulo,
     variants,
@@ -106,7 +107,6 @@ class Grammar:
                                      if s != FRESH}
         self._atom_exceptions: list = []
         self._renamed = 0
-        self._variant_memo: dict = {}
         self._close(self._sources(spec, mode, extra_strands))
         # a production that lost its most general term along every path
         for op, prods in self._productions.items():
@@ -537,12 +537,8 @@ class Grammar:
         irreducible instance of msg is an instance of target; None when
         they cannot all be enumerated."""
         th = self.theory
-        key = term_key(msg)
-        if key not in self._variant_memo:
-            found, complete = variants(msg, th)
-            self._variant_memo[key] = found if complete else None
-        found = self._variant_memo[key]
-        if found is None:
+        found, complete = side_variants(msg, th)
+        if not complete:
             return None
         out = []
         msg_vars = variables(msg)

@@ -106,7 +106,8 @@ class SearchResult:
 class _Node:
     __slots__ = ("state", "rule", "parent", "focus", "demands", "uses", "key")
 
-    def __init__(self, state, rule, parent, focus=None, demands=None):
+    def __init__(self, state, rule, parent, focus=None, demands=None,
+                 key=None):
         self.state = state
         self.rule = rule
         self.parent = parent
@@ -116,8 +117,10 @@ class _Node:
         self.demands = demands
         self.uses = None if demands is None else \
             frozenset(term_key(t) for t in demands)
-        # a focused state allows fewer steps, so it is kept apart
-        self.key = state_key(state, focus, demands)
+        # a focused state allows fewer steps, so it is kept apart; an
+        # unfocused one has the plain key, which the caller may pass in
+        self.key = key if key is not None and focus is None and \
+            demands is None else state_key(state, focus, demands)
 
 
 def _goal(state: SymbolicState, lazy_vars: bool) -> bool:
@@ -416,7 +419,7 @@ def reachability_search(start: SymbolicState, spec: RuntimeSpec, mode: str,
                 focus = _silent_strand(state, step)
                 demands = _made_demands(step) if focus is None \
                     else node.demands
-            child = _Node(pred, step.rule, node, focus, demands)
+            child = _Node(pred, step.rule, node, focus, demands, step.key)
             if best.get(child.key, pred.depth + 1) <= pred.depth:
                 stats["deduped"] += 1
                 continue
@@ -520,7 +523,7 @@ def _finish(verdict, node, stats, t0, complete, reason=None,
     stats["verdict"] = verdict
     if theory is not None:
         stats["memo_entries"] = {**theory_memo_entries(theory),
-                                 **unify_memo_entries()}
+                                 **unify_memo_entries(theory)}
     stats["complete"] = complete
     if reason:
         stats["reason"] = reason
@@ -555,7 +558,7 @@ def trace_replay(result: SearchResult, spec: RuntimeSpec, mode: str,
                                     lazy_vars=lazy_vars)
         want = state_key(nxt.state)
         if not any(s.rule == nxt.rule and
-                   (state_key(s.predecessor) == want or
+                   (s.key == want or
                     _instance_modulo(nxt.state, s.predecessor, prev.state,
                                      spec))
                    for s in steps):
@@ -643,7 +646,8 @@ def level_keys(start: SymbolicState, spec: RuntimeSpec, mode: str,
         for st in frontier:
             for step in backward_successors(st, spec, mode, minter,
                                             lazy_vars=lazy_vars):
-                k = state_key(conv(step.predecessor))
+                k = step.key if view is None else \
+                    state_key(conv(step.predecessor))
                 keys.add(k)
                 if k not in seen:
                     seen.add(k)
@@ -665,7 +669,7 @@ def level_states(start: SymbolicState, spec: RuntimeSpec, mode: str,
         for st in frontier:
             for step in backward_successors(st, spec, mode, minter,
                                             lazy_vars=lazy_vars):
-                k = state_key(step.predecessor)
+                k = step.key
                 if k not in seen:
                     seen.add(k)
                     nxt.append(step.predecessor)

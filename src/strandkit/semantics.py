@@ -76,6 +76,8 @@ class BackwardStep:
     # with `in_order`, the messages the step demands anew, instantiated
     # and normalized
     demands: tuple = ()
+    # state_key(predecessor)
+    key: tuple = None
 
 
 def _tup(terms: tuple) -> App:
@@ -196,11 +198,12 @@ def backward_successors(state: SymbolicState, spec: RuntimeSpec, mode: str,
                 stats["size_pruned"] = stats.get("size_pruned", 0) + 1
             return
         pred = replace(pred, depth=state.depth + 1)
-        key = (rule.split(":")[0], state_key(pred))
+        pkey = state_key(pred)
+        key = (rule.split(":")[0], pkey)
         if key in seen_keys:
             return
         seen_keys.add(key)
-        steps.append(BackwardStep(rule, sigma, pred, made))
+        steps.append(BackwardStep(rule, sigma, pred, made, pkey))
 
     def unifiers(t1: Term, t2: Term) -> UnifierSet:
         us = unify_modulo(t1, t2, th, leq=leq, branch_budget=unify_branch)

@@ -1,11 +1,12 @@
 """Unification: syntactic, modulo structural axioms, and modulo rules.
 
-The combined procedure follows the variant route: narrow both sides with
-the oriented rules to a bounded depth, then unify the resulting canonical
-forms syntactically, with exclusive-or subproblems handed to a dedicated
-nilpotent-AC solver.  Every candidate is verified by substitute, normalize
-and compare before it is reported, so soundness never depends on the
-solver internals.
+The combined procedure follows the variant route: narrow each side with
+the oriented rules to a bounded depth, once per theory and up to renaming
+(`side_variants`), then unify every pair of variants modulo the structural
+axioms, together with the images of the variables the sides share.
+Exclusive-or subproblems go to a dedicated nilpotent-AC solver.  Every
+candidate is verified by substitute, normalize and compare before it is
+reported, so soundness never depends on the solver internals.
 """
 from __future__ import annotations
 
@@ -310,7 +311,8 @@ def variants(t: Term, th: EquationalTheory, depth: int = VARIANT_DEPTH) -> tuple
     """Bounded folding variant narrowing: pairs (variant, substitution).
 
     Returns (variant_list, complete) where complete is False if the depth
-    bound cut narrowing short.
+    bound cut narrowing short.  This narrows afresh on every call;
+    `side_variants` is the memoized entry point that unification uses.
     """
     base_vars = variables(t)
     nf = normalize(t, th)
@@ -383,11 +385,95 @@ _unify_cache: dict = {}
 _aux_counter = [0]
 # entry cap of the unifier memo; reaching it empties the memo
 UNIFY_CACHE_CAP = 100_000
+# entry cap of each theory's variant memo; reaching it empties the memo
+VARIANT_CACHE_CAP = 20_000
 
 
-def memo_entries() -> dict:
-    """Current entry count of the unifier memo."""
-    return {"unify": len(_unify_cache)}
+def memo_entries(th: EquationalTheory) -> dict:
+    """Current entry counts of the unifier memo and th's variant memo."""
+    return {"unify": len(_unify_cache),
+            "variants": len(th.__dict__.get("_variant_cache", ()))}
+
+
+class _Renaming:
+    """Renames variables to %W0, %W1, ... and fresh constants to c0, c1,
+    ... in order of first occurrence, so that renamed copies of a term
+    become equal; `back` undoes it."""
+
+    __slots__ = ("vars", "fresh", "_inv")
+
+    def __init__(self):
+        self.vars: dict = {}
+        self.fresh: dict = {}
+        self._inv = None
+
+    def __call__(self, t: Term) -> Term:
+        if isinstance(t, Var):
+            got = self.vars.get(t)
+            if got is None:
+                got = Var(f"%W{len(self.vars)}", t.sort)
+                self.vars[t] = got
+            return got
+        if isinstance(t, FreshConst):
+            got = self.fresh.get(t)
+            if got is None:
+                got = FreshConst(len(self.fresh), "c")
+                self.fresh[t] = got
+            return got
+        if isinstance(t, App) and t.args:
+            return App(t.op, tuple(self(a) for a in t.args), t.sort)
+        return t
+
+    def back(self, t: Term) -> Term:
+        """The original of a renamed term.  Variables the renaming did not
+        make get a suffix of their own, apart from those of every other
+        renaming's `back`."""
+        if self._inv is None:
+            _aux_counter[0] += 1
+            self._inv = ({cv: ov for ov, cv in self.vars.items()},
+                         {cf: of for of, cf in self.fresh.items()},
+                         f"%g{_aux_counter[0]}")
+        inv_vars, inv_fresh, aux = self._inv
+        if isinstance(t, Var):
+            got = inv_vars.get(t)
+            if got is not None:
+                return got
+            return Var(f"{t.name}{aux}", t.sort)
+        if isinstance(t, FreshConst):
+            return inv_fresh.get(t, t)
+        if isinstance(t, App) and t.args:
+            return App(t.op, tuple(self.back(a) for a in t.args), t.sort)
+        return t
+
+
+def side_variants(t: Term, th: EquationalTheory,
+                  depth: int = VARIANT_DEPTH) -> tuple:
+    """`variants(t, th, depth)`, memoized per theory up to renaming.
+
+    The substitutions are restricted to the variables of t, and the
+    narrowing variables come back renamed apart from those of every other
+    call, so the variants of two sides never share one.
+    """
+    ren = _Renaming()
+    c = ren(t)
+    cache = th.__dict__.get("_variant_cache")
+    if cache is None:
+        cache = {}
+        object.__setattr__(th, "_variant_cache", cache)
+    key = (term_key(c), depth)
+    hit = cache.get(key)
+    if hit is None:
+        found, complete = variants(c, th, depth)
+        base = variables(c)
+        hit = (tuple((u, sigma.restrict(base)) for u, sigma in found), complete)
+        if len(cache) >= VARIANT_CACHE_CAP:
+            cache.clear()
+        cache[key] = hit
+    found, complete = hit
+    back = ren.back
+    return [(back(u), Subst({back(v): back(b) for v, b in sigma.items()},
+                            _trusted=True))
+            for u, sigma in found], complete
 
 
 def unify_modulo(t1: Term, t2: Term, th: EquationalTheory,
@@ -403,27 +489,8 @@ def unify_modulo(t1: Term, t2: Term, th: EquationalTheory,
     constants, since backward search poses the same problems over and
     over with freshly renamed strand instances.
     """
-    fwd_vars: dict = {}
-    fwd_fresh: dict = {}
-
-    def canonize(t: Term) -> Term:
-        if isinstance(t, Var):
-            got = fwd_vars.get(t)
-            if got is None:
-                got = Var(f"%W{len(fwd_vars)}", t.sort)
-                fwd_vars[t] = got
-            return got
-        if isinstance(t, FreshConst):
-            got = fwd_fresh.get(t)
-            if got is None:
-                got = FreshConst(len(fwd_fresh), "c")
-                fwd_fresh[t] = got
-            return got
-        if isinstance(t, App) and t.args:
-            return App(t.op, tuple(canonize(a) for a in t.args), t.sort)
-        return t
-
-    c1, c2 = canonize(t1), canonize(t2)
+    ren = _Renaming()
+    c1, c2 = ren(t1), ren(t2)
     cache_key = (term_key(c1), term_key(c2), variant_depth, branch_budget,
                  th, getattr(leq, "__self__", leq))
     hit = _unify_cache.get(cache_key)
@@ -432,60 +499,58 @@ def unify_modulo(t1: Term, t2: Term, th: EquationalTheory,
         if len(_unify_cache) >= UNIFY_CACHE_CAP:
             _unify_cache.clear()
         _unify_cache[cache_key] = hit
-    inv_vars = {cv: ov for ov, cv in fwd_vars.items()}
-    inv_fresh = {cf: of for of, cf in fwd_fresh.items()}
     if not hit.unifiers:
         return hit
-    _aux_counter[0] += 1
-    aux = f"%g{_aux_counter[0]}"
-
-    def back(t: Term) -> Term:
-        if isinstance(t, Var):
-            got = inv_vars.get(t)
-            if got is not None:
-                return got
-            return Var(f"{t.name}{aux}", t.sort)
-        if isinstance(t, FreshConst):
-            return inv_fresh.get(t, t)
-        if isinstance(t, App) and t.args:
-            return App(t.op, tuple(back(a) for a in t.args), t.sort)
-        return t
-
-    out = []
-    for s in hit.unifiers:
-        out.append(Subst({inv_vars[v]: back(u) for v, u in s.items()
-                          if v in inv_vars}, _trusted=True))
+    # unifiers bind only problem variables, which the renaming made
+    back = ren.back
+    out = [Subst({back(v): back(u) for v, u in s.items()}, _trusted=True)
+           for s in hit.unifiers]
     return UnifierSet(tuple(out), hit.complete)
 
 
 def _unify_modulo_raw(t1: Term, t2: Term, th: EquationalTheory,
                       leq, variant_depth: int,
                       branch_budget: int) -> UnifierSet:
-    problem_vars = variables(t1) | variables(t2)
+    """Unify each variant of t1 with each variant of t2 modulo the axioms.
+
+    The normal form of an E-unifier factors through one variant of each
+    side, and those two variants agree modulo the axioms on the variables
+    the sides share; so unifying (v1, s1(x), ...) with (v2, s2(x), ...),
+    x ranging over the shared variables, misses no unifier.
+    """
+    vars1, vars2 = variables(t1), variables(t2)
+    problem_vars = vars1 | vars2
     if th.is_free():
         s = syntactic_unify(t1, t2)
         return UnifierSet((s.restrict(problem_vars),) if s is not None else ())
-    pair = App("%pair", (t1, t2), "Msg")
-    vars_list, complete = variants(pair, th, variant_depth)
+    side1, complete1 = side_variants(t1, th, variant_depth)
+    side2, complete2 = side_variants(t2, th, variant_depth)
+    shared = sorted(vars1 & vars2, key=term_key)
+
+    def goal(u, sigma):
+        if not shared:
+            return u
+        return App("%tup", (u,) + tuple(sigma(x) for x in shared), "Msg")
+
     budget = _Budget(branch_budget)
     found = []
     seen = set()
-    for (u, sigma) in vars_list:
-        if not (isinstance(u, App) and u.op == "%pair"):
-            continue
-        u1, u2 = u.args
-        for theta in unify_canonical(u1, u2, th, leq=leq, budget=budget):
-            cand = _deflate(sigma.compose(theta).restrict(problem_vars),
-                            problem_vars)
-            if not eq_modulo(cand(t1), cand(t2), th):
-                continue
-            key = _subst_key(cand)
-            if key in seen:
-                continue
-            seen.add(key)
-            found.append(cand)
-    if budget.blown:
-        complete = False
+    goals2 = [(goal(u, sigma), sigma) for u, sigma in side2]
+    for u1, sigma1 in side1:
+        g1 = goal(u1, sigma1)
+        for g2, sigma2 in goals2:
+            for theta in unify_canonical(g1, g2, th, leq=leq, budget=budget):
+                m = {x: theta(sigma2(x)) for x in vars2}
+                m.update((x, theta(sigma1(x))) for x in vars1)
+                cand = _deflate(Subst(m), problem_vars)
+                if not eq_modulo(cand(t1), cand(t2), th):
+                    continue
+                key = _subst_key(cand)
+                if key in seen:
+                    continue
+                seen.add(key)
+                found.append(cand)
+    complete = complete1 and complete2 and not budget.blown
     minimized = _minimize(found, problem_vars, th)
     minimized.sort(key=_subst_key)
     return UnifierSet(tuple(minimized), complete)
@@ -577,14 +642,8 @@ def match_modulo(pattern: Term, target: Term, th: EquationalTheory,
     pvars = variables(pattern)
     out = []
     for s in got:
-        m = {}
-        ok = True
-        for v, t in s.items():
-            if v not in pvars:
-                continue
-            m[v] = _thaw(t, thaw)
-        if ok:
-            out.append(Subst(m, _trusted=True))
+        m = {v: _thaw(t, thaw) for v, t in s.items() if v in pvars}
+        out.append(Subst(m, _trusted=True))
     return UnifierSet(tuple(out), got.complete)
 
 

@@ -110,7 +110,11 @@ def test_analyze_attack_found_exit_and_json(tiny, tmp_path, capsys):
     report = json.loads((out / "verdict.json").read_text())
     assert report["verdict"] == "AttackFound"
     assert report["trace_replay"] is True
-    assert schema_check(report, load_schema("verdict.schema.json")) == []
+    schema = load_schema("verdict.schema.json")
+    assert schema_check(report, schema) == []
+    # every memo the search reports is one the schema lists
+    memos = schema["properties"]["stats"]["properties"]["memo_entries"]
+    assert set(report["stats"]["memo_entries"]) == set(memos["properties"])
     assert (out / "trace.dot").read_text().startswith("digraph")
 
 

@@ -219,14 +219,19 @@ def _variant_keys(t, th):
     return {unify._pair_key(u, s, base) for u, s in vs}, complete
 
 
-def _spec_terms():
-    """Terms over the theories of the shipped specs, each with its theory."""
+def _spec_theories():
+    """(theory, term maker) of the nsl, nsl_kd and nsl_db specs."""
     def spec(name, mode=SYNC):
         sp = runtime_spec(parse_document((SPECS / name).read_text()), mode)
         return sp.theory, sp.signature.make
 
-    (nsl, nsl_op), (kd, kd_op), (db, db_op) = spec("nsl.strand", BASIC), \
-        spec("nsl_kd.strand"), spec("nsl_db.strand")
+    return spec("nsl.strand", BASIC), spec("nsl_kd.strand"), \
+        spec("nsl_db.strand")
+
+
+def _spec_terms():
+    """Terms over the theories of the shipped specs, each with its theory."""
+    (nsl, nsl_op), (kd, kd_op), (db, db_op) = _spec_theories()
     A, B = Var("A", "Name"), Var("B", "Name")
     K = Var("K", "Key")
     X, Y = Var("X"), Var("Y")
@@ -270,3 +275,109 @@ def test_sum_narrows_against_pk_sk():
     vs, _ = variants(t, th, 1)
     # X * n(a, r) narrowed with sk(A, pk(A, M)) -> M gives the variant M
     assert any(isinstance(u, Var) for u, _ in vs)
+
+
+def _pair_narrowing_unifiers(t1, t2, th):
+    """Reference unifier set: narrow %pair(t1, t2) as one term, then unify
+    the two components of each variant modulo the axioms."""
+    problem_vars = variables(t1) | variables(t2)
+    found, complete = variants(App("%pair", (t1, t2), "Msg"), th)
+    budget = unify._Budget(unify.BRANCH_BUDGET)
+    out, seen = [], set()
+    for u, sigma in found:
+        if not (isinstance(u, App) and u.op == "%pair"):
+            continue
+        for theta in unify.unify_canonical(*u.args, th, budget=budget):
+            cand = unify._deflate(sigma.compose(theta).restrict(problem_vars),
+                                  problem_vars)
+            key = unify._subst_key(cand)
+            if eq_modulo(cand(t1), cand(t2), th) and key not in seen:
+                seen.add(key)
+                out.append(cand)
+    return (unify._minimize(out, problem_vars, th),
+            complete and not budget.blown)
+
+
+def _unify_problems():
+    """Unification problems over the theories of the shipped specs."""
+    (nsl, nsl_op), (kd, kd_op), (db, db_op) = _spec_theories()
+    A, B = Var("A", "Name"), Var("B", "Name")
+    K = Var("K", "Key")
+    X, Y = Var("X"), Var("Y")
+    na = nsl_op("n", nsl_op("a"), FreshConst(1))
+    nb = db_op("n", db_op("b"), FreshConst(2))
+    return {
+        "nsl-pk-sk": (nsl, nsl_op("pk", A, X), nsl_op("sk", B, Y)),
+        "nsl-sk-nonce": (nsl, nsl_op("sk", B, X), na),
+        "nsl-shared-name": (nsl, nsl_op("sk", A, X), nsl_op("pk", A, Y)),
+        "nsl-shared-msg": (nsl, nsl_op("pk", A, nsl_op("sk", B, X)), X),
+        "kd-d-var": (kd, kd_op("d", K, X), Y),
+        "kd-e-d-sk": (kd, kd_op("e", K, kd_op("d", K, X)), kd_op("sk", A, Y)),
+        "kd-shared-key": (kd, kd_op("d", K, X), kd_op("e", K, Y)),
+        # renamed copies of one side, whose variants share a memo entry
+        "kd-two-decryptions": (kd, kd_op("d", K, X),
+                               kd_op("d", Var("K2", "Key"), Y)),
+        # sums narrowed against the pk/sk left sides
+        "db-sum-pk": (db, db_op("*", X, na), db_op("pk", A, Y)),
+        "db-sk-sum": (db, db_op("sk", A, db_op("*", X, na)), Y),
+        "db-sums": (db, db_op("*", X, na), db_op("*", Y, nb)),
+        "db-shared-sum": (db, db_op("*", X, Y), db_op("pk", A, X)),
+        "db-shared-sk": (db, db_op("sk", A, db_op("*", X, nb)), X),
+    }
+
+
+UNIFY_PROBLEMS = _unify_problems()
+
+
+@pytest.mark.parametrize("name", sorted(UNIFY_PROBLEMS))
+def test_side_variants_match_pair_narrowing(name):
+    """Unifying per-side variants gives the unifiers of pair narrowing, up
+    to instances.  Each side gets the whole depth bound, where the pair
+    shares it, so the per-side set is complete whenever the pair's is."""
+    th, t1, t2 = UNIFY_PROBLEMS[name]
+    problem_vars = variables(t1) | variables(t2)
+    want, want_complete = _pair_narrowing_unifiers(t1, t2, th)
+    got = unify_modulo(t1, t2, th)
+    assert got.complete or not want_complete
+    # a complete set covers every unifier of the other one
+    for general, complete, specific in ((got, got.complete, want),
+                                        (want, want_complete, got)):
+        if complete:
+            for s in specific:
+                assert any(unify._is_instance_of(g, s, problem_vars, th)
+                           for g in general), (name, s)
+    for s in got:
+        assert eq_modulo(s(t1), s(t2), th)
+
+
+def test_shared_variable_problems_have_unifiers():
+    # the differential test above must not pass on empty sets alone
+    for name in ("nsl-shared-name", "kd-shared-key", "db-shared-sum"):
+        th, t1, t2 = UNIFY_PROBLEMS[name]
+        assert variables(t1) & variables(t2)
+        assert unify_modulo(t1, t2, th), name
+
+
+def test_renamed_sides_narrow_once(monkeypatch):
+    calls = []
+
+    def counted(t, th, depth=unify.VARIANT_DEPTH):
+        calls.append(t)
+        return variants(t, th, depth)
+
+    monkeypatch.setattr(unify, "variants", counted)
+    th = EquationalTheory(rules=ED_TH.rules)  # a memo of its own
+    K2, X2 = Var("K2"), Var("X2")
+    first, _ = unify.side_variants(d(K, X), th)
+    second, _ = unify.side_variants(d(K2, X2), th)
+    assert len(calls) == 1
+    assert {v for _, s in first for v in s} == {K, X}
+    assert {v for _, s in second for v in s} == {K2, X2}
+    narrowed = [variables(u) - {K, X, K2, X2} for u, _ in first + second]
+    narrowed = [vs for vs in narrowed if vs]
+    # each call renames the narrowing variables apart
+    assert len(narrowed) == 2 and not set.intersection(*narrowed)
+    assert unify.memo_entries(th)["variants"] == 1
+    got = unify_modulo(d(K2, X2), const("m"), th)
+    assert len(calls) == 2  # only the new side `m` is narrowed
+    assert [s(X2) for s in got] == [e(K2, const("m"))]
