@@ -59,7 +59,6 @@ from .unify import (
     side_variants,
     unify_canonical,
     unify_modulo,
-    variants,
 )
 
 # path step into an atom of an exclusive-or sum
@@ -147,7 +146,7 @@ class Grammar:
         if all(self._rigid(t, None) for t in parts if not isinstance(t, Var)) \
                 or any(self._open_sum(t) for t in parts):
             return False  # nothing to split on, or too costly to split
-        found, complete = variants(_tup(parts), self.theory)
+        found, complete = side_variants(_tup(parts), self.theory)
         if not complete:
             return False
         k, r = len(known), len(received)

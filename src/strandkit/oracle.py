@@ -28,7 +28,16 @@ from .model import (
     map_item,
     state_key,
 )
-from .terms import FRESH, FreshConst, Subst, Term, Var, term_key, variables
+from .terms import (
+    FRESH,
+    App,
+    FreshConst,
+    Subst,
+    Term,
+    Var,
+    term_key,
+    variables,
+)
 from .theory import eq_modulo, normalize
 from .unify import match_modulo
 
@@ -302,7 +311,7 @@ def _fresh_to_vars(pattern: SymbolicState) -> SymbolicState:
             return seen.setdefault(t, Var(f"%fresh{t.ident}", FRESH))
         if isinstance(t, Var):
             return t
-        return replace(t, args=tuple(conv(a) for a in t.args))
+        return App(t.op, tuple(conv(a) for a in t.args), t.sort)
 
     strands = tuple(replace(s, items=tuple(map_item(it, conv) for it in s.items))
                     for s in pattern.strands)

@@ -4,11 +4,16 @@ Terms come in three shapes: named variables with a sort, fresh constants
 (nonce seeds minted once per strand instance, never substituted for), and
 operator applications.  Every application carries the result sort computed
 when it was built, so least-sort lookup never needs the signature again.
+Applications are hash-consed (Filliatre & Conchon, "Type-safe modular
+hash-consing", 2006): building one returns the live node with the same
+operator, arguments and sort if there is one, so equal applications are
+the same object and a substitution shares every subterm it leaves alone.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
 MSG = "Msg"
@@ -59,11 +64,45 @@ class FreshConst:
         return f"{self.hint}!{self.ident}"
 
 
-@dataclass(frozen=True)
 class App:
-    op: str
-    args: tuple = ()
-    sort: str = MSG
+    """An operator application, hash-consed: at most one live node exists
+    per distinct (op, args, sort), so equality is identity and the hash is
+    computed once.  Nodes are immutable and shared between every term that
+    contains them."""
+
+    __slots__ = ("op", "args", "sort", "_hash", "_key", "__weakref__")
+
+    def __new__(cls, op: str, args: tuple = (), sort: str = MSG) -> "App":
+        ident = (op, args, sort)
+        # the table's own dict, read without the method-call cost of
+        # WeakValueDictionary.get; a dead reference reads as a miss
+        ref = _interned.data.get(ident)
+        node = ref() if ref is not None else None
+        if node is None:
+            node = object.__new__(cls)
+            init = object.__setattr__
+            init(node, "op", op)
+            init(node, "args", args)
+            init(node, "sort", sort)
+            init(node, "_hash", hash(ident))
+            init(node, "_key", None)
+            _interned[ident] = node
+        return node
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    # equality stays object identity, which interning makes structural
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"App nodes are immutable: cannot set {name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"App nodes are immutable: cannot delete {name}")
+
+    def __reduce__(self):
+        # copies and unpickled nodes come back through the intern table
+        return (App, (self.op, self.args, self.sort))
 
     def __repr__(self) -> str:
         if not self.args:
@@ -71,17 +110,9 @@ class App:
         return f"{self.op}({', '.join(map(repr, self.args))})"
 
 
-def _app_hash(self: "App") -> int:
-    h = self.__dict__.get("_hash")
-    if h is None:
-        h = hash((self.op, self.args, self.sort))
-        object.__setattr__(self, "_hash", h)
-    return h
-
-
-# Deep terms are hashed constantly (substitution maps, memo tables, state
-# keys); caching the hash on the node turns that from O(size) into O(1).
-App.__hash__ = _app_hash
+# (op, args, sort) -> its node; an entry goes when the last reference to
+# its node does, so the table holds only live terms
+_interned: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
 
 Term = Union[Var, FreshConst, App]
 Position = tuple
@@ -171,7 +202,7 @@ def term_key(t: Term):
         return (0, t.name, t.sort)
     if isinstance(t, FreshConst):
         return (1, t.ident)
-    k = t.__dict__.get("_key")
+    k = t._key
     if k is None:
         k = (2, t.op, len(t.args)) + tuple(term_key(a) for a in t.args)
         object.__setattr__(t, "_key", k)
@@ -380,9 +411,12 @@ def _apply(m: Mapping, t):
     if isinstance(t, Var):
         return m.get(t, t)
     if isinstance(t, App):
-        if not t.args:
+        args = t.args
+        if not args:
             return t
-        return App(t.op, tuple(_apply(m, a) for a in t.args), t.sort)
+        new = tuple([_apply(m, a) for a in args])
+        # an unchanged term is returned, not rebuilt, so it stays shared
+        return t if new == args else App(t.op, new, t.sort)
     if isinstance(t, tuple):
         return tuple(_apply(m, a) for a in t)
     return t

@@ -55,6 +55,17 @@ class EquationalTheory:
     rules: tuple = ()
     axioms: tuple = ()  # tuple of (opname, AxiomDecl)
     step_budget: int = 10000
+    # Memos of `canon`, `normalize`, `unify.unify_modulo` and
+    # `unify.side_variants`, keyed by hash-consed term nodes.  They are
+    # not part of the theory's value.
+    _canon_cache: dict = field(default_factory=dict, init=False, repr=False,
+                               compare=False)
+    _norm_cache: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
+    _unify_cache: dict = field(default_factory=dict, init=False, repr=False,
+                               compare=False)
+    _variant_cache: dict = field(default_factory=dict, init=False,
+                                 repr=False, compare=False)
 
     def __post_init__(self):
         for lhs, rhs in self.rules:
@@ -62,10 +73,6 @@ class EquationalTheory:
                 raise IrregularRule(f"rule left side is a variable: {lhs!r}")
             if not variables(rhs) <= variables(lhs):
                 raise IrregularRule(f"rule {lhs!r} -> {rhs!r} invents variables")
-
-    @property
-    def axiom_map(self) -> dict:
-        return dict(self.axioms)
 
     def axiom(self, op: str) -> Optional[AxiomDecl]:
         m = self.__dict__.get("_axiom_map")
@@ -146,10 +153,7 @@ def canon(t: Term, th: EquationalTheory) -> Term:
     """Canonical form modulo the structural axioms (no rule rewriting)."""
     if not isinstance(t, App) or not t.args:
         return t
-    cache = th.__dict__.get("_canon_cache")
-    if cache is None:
-        cache = {}
-        object.__setattr__(th, "_canon_cache", cache)
+    cache = th._canon_cache
     hit = cache.get(t)
     if hit is not None:
         return hit
@@ -304,9 +308,6 @@ class _Budget:
             raise StepBudgetExceeded("rewrite step budget exhausted")
 
 
-_norm_cache: dict = {}
-
-
 def normalize(t: Term, th: EquationalTheory) -> Term:
     """The normal form of t under the theory's rules, modulo its axioms.
 
@@ -316,22 +317,21 @@ def normalize(t: Term, th: EquationalTheory) -> Term:
     Normal forms are memoized per theory: backward search renormalizes the
     same payloads constantly.
     """
-    key = (t, th)
-    got = _norm_cache.get(key)
+    cache = th._norm_cache
+    got = cache.get(t)
     if got is None:
         budget = _Budget(th.step_budget)
         got = _normalize(canon(t, th), th, budget)
-        if len(_norm_cache) >= NORM_CACHE_CAP:
-            _norm_cache.clear()
-        _norm_cache[key] = got
-        _norm_cache[(got, th)] = got
+        if len(cache) >= NORM_CACHE_CAP:
+            cache.clear()
+        cache[t] = got
+        cache[got] = got
     return got
 
 
 def memo_entries(th: EquationalTheory) -> dict:
-    """Current entry counts of the canonical-form and normal-form memos."""
-    return {"canon": len(th.__dict__.get("_canon_cache", ())),
-            "normalize": len(_norm_cache)}
+    """Current entry counts of th's canonical-form and normal-form memos."""
+    return {"canon": len(th._canon_cache), "normalize": len(th._norm_cache)}
 
 
 def _normalize(t: Term, th: EquationalTheory, budget: _Budget) -> Term:

@@ -10,7 +10,7 @@ reported, so soundness never depends on the solver internals.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .terms import (
@@ -113,12 +113,9 @@ def _apply(m: dict, t):
             return t
         return _apply(m, got) if isinstance(got, Var) and got in m else got
     if isinstance(t, App) and t.args:
-        return App(t.op, tuple(_apply(m, a) for a in t.args), t.sort)
+        new = tuple([_apply(m, a) for a in t.args])
+        return t if new == t.args else App(t.op, new, t.sort)
     return t
-
-
-def _sort_ok(sig_leq, v: Var, t: Term) -> bool:
-    return sig_leq(least_sort(t), v.sort)
 
 
 def _solve(eqns: list, subst: dict, th: EquationalTheory, budget: _Budget,
@@ -381,18 +378,17 @@ def _narrow_once(u: Term, sigma: Subst, th: EquationalTheory, base_vars):
     return results
 
 
-_unify_cache: dict = {}
 _aux_counter = [0]
-# entry cap of the unifier memo; reaching it empties the memo
+# entry caps of each theory's unifier and variant memos; reaching its cap
+# empties a memo
 UNIFY_CACHE_CAP = 100_000
-# entry cap of each theory's variant memo; reaching it empties the memo
 VARIANT_CACHE_CAP = 20_000
 
 
 def memo_entries(th: EquationalTheory) -> dict:
-    """Current entry counts of the unifier memo and th's variant memo."""
-    return {"unify": len(_unify_cache),
-            "variants": len(th.__dict__.get("_variant_cache", ()))}
+    """Current entry counts of th's unifier and variant memos."""
+    return {"unify": len(th._unify_cache),
+            "variants": len(th._variant_cache)}
 
 
 class _Renaming:
@@ -421,7 +417,7 @@ class _Renaming:
                 self.fresh[t] = got
             return got
         if isinstance(t, App) and t.args:
-            return App(t.op, tuple(self(a) for a in t.args), t.sort)
+            return App(t.op, tuple([self(a) for a in t.args]), t.sort)
         return t
 
     def back(self, t: Term) -> Term:
@@ -442,7 +438,7 @@ class _Renaming:
         if isinstance(t, FreshConst):
             return inv_fresh.get(t, t)
         if isinstance(t, App) and t.args:
-            return App(t.op, tuple(self.back(a) for a in t.args), t.sort)
+            return App(t.op, tuple([self.back(a) for a in t.args]), t.sort)
         return t
 
 
@@ -456,11 +452,8 @@ def side_variants(t: Term, th: EquationalTheory,
     """
     ren = _Renaming()
     c = ren(t)
-    cache = th.__dict__.get("_variant_cache")
-    if cache is None:
-        cache = {}
-        object.__setattr__(th, "_variant_cache", cache)
-    key = (term_key(c), depth)
+    cache = th._variant_cache
+    key = (c, depth)
     hit = cache.get(key)
     if hit is None:
         found, complete = variants(c, th, depth)
@@ -485,20 +478,21 @@ def unify_modulo(t1: Term, t2: Term, th: EquationalTheory,
     variables of the problem, verified by substitute-normalize-compare,
     and minimized by discarding instances of more general unifiers.
 
-    Results are memoized up to a renaming of variables and fresh
-    constants, since backward search poses the same problems over and
-    over with freshly renamed strand instances.
+    Results are memoized per theory up to a renaming of variables and
+    fresh constants, since backward search poses the same problems over
+    and over with freshly renamed strand instances.
     """
     ren = _Renaming()
     c1, c2 = ren(t1), ren(t2)
-    cache_key = (term_key(c1), term_key(c2), variant_depth, branch_budget,
-                 th, getattr(leq, "__self__", leq))
-    hit = _unify_cache.get(cache_key)
+    cache = th._unify_cache
+    cache_key = (c1, c2, variant_depth, branch_budget,
+                 getattr(leq, "__self__", leq))
+    hit = cache.get(cache_key)
     if hit is None:
         hit = _unify_modulo_raw(c1, c2, th, leq, variant_depth, branch_budget)
-        if len(_unify_cache) >= UNIFY_CACHE_CAP:
-            _unify_cache.clear()
-        _unify_cache[cache_key] = hit
+        if len(cache) >= UNIFY_CACHE_CAP:
+            cache.clear()
+        cache[cache_key] = hit
     if not hit.unifiers:
         return hit
     # unifiers bind only problem variables, which the renaming made
@@ -632,9 +626,14 @@ _FREEZE_PREFIX = "%frz%"
 
 def match_modulo(pattern: Term, target: Term, th: EquationalTheory,
                  leq=None, variant_depth: int = VARIANT_DEPTH) -> UnifierSet:
-    """One-sided unification: target variables are treated as constants."""
+    """One-sided unification: target variables are treated as constants.
+
+    The frozen constants are named by the variables' places in term order,
+    so renamed copies of one problem reach the unifier memo as one.
+    """
     tvars = sorted(variables(target), key=term_key)
-    freeze = {v: App(_FREEZE_PREFIX + v.name, (), v.sort) for v in tvars}
+    freeze = {v: App(f"{_FREEZE_PREFIX}{i}", (), v.sort)
+              for i, v in enumerate(tvars)}
     thaw = {c.op: v for v, c in freeze.items()}
     frozen_target = Subst(freeze, _trusted=True)(target)
     got = unify_modulo(pattern, frozen_target, th, leq=leq,

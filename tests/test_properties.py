@@ -13,7 +13,15 @@ from strandkit.dsl import attack_state, parse_document
 from strandkit.model import Minter, state_key
 from strandkit.search import level_states
 from strandkit.semantics import ABSTRACT, SYNC, runtime_spec, trans, trans_inv
-from strandkit.terms import App, Subst, Var, const, term_key, variables
+from strandkit.terms import (
+    App,
+    FreshConst,
+    Subst,
+    Var,
+    const,
+    term_key,
+    variables,
+)
 from strandkit.theory import AxiomDecl, EquationalTheory, eq_modulo, normalize
 from strandkit.unify import unify_modulo
 
@@ -79,6 +87,31 @@ def test_self_cancellation(t):
 def test_identity_removal(t):
     n = normalize(t, XOR_TH)
     assert term_key(normalize(xor(t, ZERO), XOR_TH)) == term_key(n)
+
+
+# ---------------------------------------------------------- hash-consing
+
+# every operator keeps one result sort, as in a signature
+app_terms = st.recursive(
+    st.sampled_from([A_, B_, X, Y, FreshConst(1)]),
+    lambda kids: st.one_of(
+        st.tuples(kids, kids).map(lambda p: App("f", p, "Msg")),
+        kids.map(lambda k: App("g", (k,), "Msg"))),
+    max_leaves=8)
+
+
+def _rebuilt(t):
+    """t built again from scratch, node by node."""
+    if isinstance(t, App):
+        return App(t.op, tuple([_rebuilt(a) for a in t.args]), t.sort)
+    return t
+
+
+@settings(max_examples=300, deadline=None)
+@given(app_terms, app_terms)
+def test_identity_is_structural_equality(a, b):
+    assert (a is b) == (term_key(a) == term_key(b))
+    assert _rebuilt(a) is a and _rebuilt(b) is b
 
 
 @settings(max_examples=300, deadline=None)

@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import pytest
 
+from strandkit import unify
 from strandkit.dsl import attack_state, parse_document
 from strandkit.grammar import Grammar
 from strandkit.model import (
@@ -202,3 +203,26 @@ def test_focused_node_keys_ignore_renaming():
         _Node(copy, "send_silent", None, focus=0).key
     assert _Node(state, "intro_strand:x", None, demands=demands).key != \
         _Node(state, "intro_strand:x", None, demands=(facts[1].payload,)).key
+
+
+def test_renamed_states_narrow_once(monkeypatch):
+    spec = runtime_spec(load("nsl.strand"), BASIC)  # a theory of its own
+    grammar = Grammar(spec, BASIC)
+    calls = []
+    narrow_once = unify._narrow_once
+
+    def counted(*args):
+        calls.append(args[0])
+        return narrow_once(*args)
+
+    monkeypatch.setattr(unify, "_narrow_once", counted)
+    sig = spec.signature
+    narrowed = []
+    for a, b, r in (("A", "B", 5), ("A2", "B2", 6)):
+        nonce = sig.make("n", sig.make("a"), FreshConst(r))
+        # pk(A, sk(B, N)) rewrites when A = B: the check splits on variants
+        demand = sig.make("pk", Var(a, "Name"),
+                          sig.make("sk", Var(b, "Name"), nonce))
+        assert grammar.condemns([demand], [], [nonce])
+        narrowed.append(len(calls))
+    assert narrowed[0] > 0 and narrowed[1] == narrowed[0]

@@ -106,6 +106,22 @@ def test_search_is_deterministic(nsl_db):
     assert runs[0] == runs[1]
 
 
+def test_memo_entries_count_the_searched_theory(nsl, nsl_db):
+    first = runtime_spec(nsl_db, SYNC)
+    reachability_search(attack_state(nsl_db, "a1", first, Minter()), first,
+                        SYNC, SearchBudget(max_depth=2, max_states=2000))
+    spec = runtime_spec(nsl, BASIC)
+    assert spec.theory is not first.theory
+    res = reachability_search(attack_state(nsl, "secrecy", spec, Minter()),
+                              spec, BASIC, SearchBudget(max_depth=2))
+    # the first search filled memos of its own theory, which stay apart
+    assert first.theory._norm_cache and first.theory._unify_cache
+    th = spec.theory
+    assert res.stats["memo_entries"] == {
+        "canon": len(th._canon_cache), "normalize": len(th._norm_cache),
+        "unify": len(th._unify_cache), "variants": len(th._variant_cache)}
+
+
 def test_trace_to_dot_shape(nsl):
     spec = runtime_spec(nsl, BASIC)
     sig = spec.signature

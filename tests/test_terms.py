@@ -136,3 +136,55 @@ def test_term_key_total_order():
     keys = [term_key(t) for t in items]
     assert len(set(keys)) == 4
     assert sorted(keys)[0] == term_key(Var("X"))
+
+
+# ------------------------------------------------------------ hash-consing
+
+
+def test_equal_applications_are_one_node():
+    args = (Var("X"), FreshConst(2), const("a", "Name"))
+    assert App("f", args, "Msg") is App("f", tuple(list(args)), "Msg")
+    assert App("f", args, "Msg") is not App("f", args, "Name")
+    assert const("c") is App("c")
+
+
+def test_application_nodes_are_immutable():
+    t = App("f", (Var("X"),))
+    with pytest.raises(AttributeError):
+        t.op = "g"
+    with pytest.raises(AttributeError):
+        del t.args
+
+
+def test_substitution_shares_untouched_subterms():
+    inner = App("g", (Var("Y"), const("c")))
+    t = App("f", (Var("X"), inner))
+    assert Subst({Var("Z"): const("d")})(t) is t
+    out = Subst({Var("X"): const("d")})(t)
+    assert out is App("f", (const("d"), inner))
+    assert out.args[1] is inner
+
+
+def test_copies_and_pickles_come_back_interned():
+    import copy
+    import pickle
+
+    t = App("f", (Var("X"), App("g", (FreshConst(3),), "Name")))
+    assert copy.copy(t) is t
+    assert copy.deepcopy(t) is t
+    assert pickle.loads(pickle.dumps(t)) is t
+    assert copy.deepcopy({"k": [t]})["k"][0] is t
+
+
+def test_intern_table_drops_dead_nodes():
+    import gc
+
+    from strandkit import terms
+
+    gc.collect()
+    before = len(terms._interned)
+    t = App("%only-here", (App("%only-here-too", (Var("X"),)),))
+    assert len(terms._interned) == before + 2
+    del t
+    gc.collect()
+    assert len(terms._interned) == before

@@ -381,3 +381,23 @@ def test_renamed_sides_narrow_once(monkeypatch):
     got = unify_modulo(d(K2, X2), const("m"), th)
     assert len(calls) == 2  # only the new side `m` is narrowed
     assert [s(X2) for s in got] == [e(K2, const("m"))]
+
+
+def test_renamed_match_problems_unify_once(monkeypatch):
+    calls = []
+    raw = unify._unify_modulo_raw
+
+    def counted(*args):
+        calls.append(args[:2])
+        return raw(*args)
+
+    monkeypatch.setattr(unify, "_unify_modulo_raw", counted)
+    th = EquationalTheory(rules=ED_TH.rules)  # a memo of its own
+    A, B, A2, B2, K2, X2 = (Var(n) for n in ("A", "B", "A2", "B2", "K2", "X2"))
+    first = match_modulo(d(K, X), d(A, e(A, B)), th)
+    second = match_modulo(d(K2, X2), d(A2, e(A2, B2)), th)
+    assert len(calls) == 1
+    assert first and first.complete == second.complete
+    ren = Subst({A: A2, B: B2, K: K2, X: X2}, _trusted=True)
+    assert [(ren(s(K)), ren(s(X))) for s in first] == \
+        [(s(K2), s(X2)) for s in second]
