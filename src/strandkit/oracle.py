@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from .dsl import parse_term
 from .model import (
@@ -28,18 +29,10 @@ from .model import (
     map_item,
     state_key,
 )
-from .terms import (
-    FRESH,
-    App,
-    FreshConst,
-    Subst,
-    Term,
-    Var,
-    term_key,
-    variables,
-)
+from .search import _state_instance_of
+from .terms import Subst, term_key, variables
 from .theory import eq_modulo, normalize
-from .unify import match_modulo
+from .unify import match_extensions
 
 
 class ScenarioError(Exception):
@@ -284,106 +277,13 @@ def instantiates_pattern(state: SymbolicState, pattern: SymbolicState,
                          spec) -> bool:
     """Is the reached state an instance of the attack pattern?
 
-    Pattern strands must map injectively onto state strands with the same
-    role, bar and shape; pattern facts must match state facts; pattern
-    variables and fresh values bind to ground terms; disequalities must
-    hold.  Extra strands and facts in the state are allowed.
+    Pattern strands and facts must map one-to-one onto state strands of
+    the same role, bar and shape and onto state facts of the same kind,
+    modulo the theory; distinct pattern fresh values stand for distinct
+    fresh values and disequalities must hold.  Extra strands and facts in
+    the state are allowed (see `search._state_instance_of`).
     """
-    th, leq = spec.theory, spec.signature.leq
-    pattern = _fresh_to_vars(pattern)
-    for sigma in _match_strands(list(pattern.strands), list(state.strands),
-                                Subst(), th, leq):
-        for sigma2 in _match_facts(list(pattern.facts), list(state.facts),
-                                   sigma, th, leq):
-            if _diseqs_hold(pattern.diseqs, sigma2, th) \
-                    and _fresh_injective(sigma2):
-                return True
-    return False
-
-
-def _fresh_to_vars(pattern: SymbolicState) -> SymbolicState:
-    """A pattern's fresh values stand for *some* fresh data; matching
-    treats them as variables of the fresh sort."""
-    seen: dict = {}
-
-    def conv(t: Term) -> Term:
-        if isinstance(t, FreshConst):
-            return seen.setdefault(t, Var(f"%fresh{t.ident}", FRESH))
-        if isinstance(t, Var):
-            return t
-        return App(t.op, tuple(conv(a) for a in t.args), t.sort)
-
-    strands = tuple(replace(s, items=tuple(map_item(it, conv) for it in s.items))
-                    for s in pattern.strands)
-    facts = tuple(IntruderFact(x.kind, conv(x.payload)) for x in pattern.facts)
-    diseqs = tuple((conv(l), conv(r)) for (l, r) in pattern.diseqs)
-    return SymbolicState(strands, facts, diseqs, pattern.depth)
-
-
-def _items_compatible(p, g) -> bool:
-    if type(p) is not type(g):
-        return False
-    if isinstance(p, SignedMessage):
-        return p.polarity == g.polarity
-    if isinstance(p, ParamList):
-        return p.direction == g.direction and len(p.payload) == len(g.payload)
-    return (p.direction == g.direction and p.parents == g.parents
-            and p.children == g.children and p.mode == g.mode
-            and len(p.payload) == len(g.payload))
-
-
-def _match_terms(pairs: list, sigma: Subst, th, leq):
-    if not pairs:
-        yield sigma
-        return
-    (p, g), rest = pairs[0], pairs[1:]
-    for m in match_modulo(sigma(p), g, th, leq=leq):
-        merged = dict(sigma)
-        merged.update(m)
-        yield from _match_terms(rest, Subst(merged, _trusted=True), th, leq)
-
-
-def _match_strands(pstrands: list, gstrands: list, sigma: Subst, th, leq,
-                   used: frozenset = frozenset()):
-    if not pstrands:
-        yield sigma
-        return
-    p, rest = pstrands[0], pstrands[1:]
-    for gi, g in enumerate(gstrands):
-        if gi in used or g.role != p.role or g.bar != p.bar \
-                or len(g.items) != len(p.items):
-            continue
-        if not all(_items_compatible(a, b) for a, b in zip(p.items, g.items)):
-            continue
-        pairs = [(a, b) for pit, git in zip(p.items, g.items)
-                 for a, b in zip(item_terms(pit), item_terms(git))]
-        for s2 in _match_terms(pairs, sigma, th, leq):
-            yield from _match_strands(rest, gstrands, s2, th, leq,
-                                      used | {gi})
-
-
-def _match_facts(pfacts: list, gfacts: list, sigma: Subst, th, leq):
-    if not pfacts:
-        yield sigma
-        return
-    p, rest = pfacts[0], pfacts[1:]
-    for g in gfacts:
-        if g.kind != p.kind:
-            continue
-        for s2 in _match_terms([(p.payload, g.payload)], sigma, th, leq):
-            yield from _match_facts(rest, gfacts, s2, th, leq)
-
-
-def _diseqs_hold(diseqs: tuple, sigma: Subst, th) -> bool:
-    for (l, r) in diseqs:
-        nl, nr = normalize(sigma(l), th), normalize(sigma(r), th)
-        if term_key(nl) == term_key(nr):
-            return False
-    return True
-
-
-def _fresh_injective(sigma: Subst) -> bool:
-    """Distinct fresh values in the pattern must stay distinct."""
-    images = [term_key(t) for v, t in sigma.items()
-              if v.name.startswith("%fresh")]
-    return len(images) == len(set(images))
+    th = spec.theory
+    modulo = partial(match_extensions, th=th, leq=spec.signature.leq)
+    return _state_instance_of(state, pattern, th, modulo,
+                              extra_strands=True, extra_facts=True)

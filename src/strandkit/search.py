@@ -12,8 +12,9 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import permutations
+from functools import partial
 from typing import Optional
 
 from .model import (
@@ -36,11 +37,11 @@ from .semantics import (
     backward_successors,
     trans_inv,
 )
-from .terms import FRESH, App, FreshConst, Var, fresh_constants, term_key, \
-    term_size
-from .theory import canon, normalize
+from .terms import FRESH, FreshConst, Var, _apply, fresh_constants, \
+    is_ground, term_key, term_size, variables
+from .theory import canon, match_ax, normalize
 from .theory import memo_entries as theory_memo_entries
-from .unify import match_modulo
+from .unify import match_extensions
 from .unify import memo_entries as unify_memo_entries
 
 # how many earlier states per structural bucket the subsumption check
@@ -145,185 +146,133 @@ def _skeleton(state: SymbolicState) -> tuple:
     return tuple(sorted(_strand_shape(s) for s in state.strands))
 
 
-def _item_meta(it) -> tuple:
+def _item_shape(it) -> tuple:
     if isinstance(it, SignedMessage):
         return ("msg", it.polarity)
     if isinstance(it, SyncPoint):
-        return ("sync", it.direction, it.parents, it.children, it.mode)
-    return ("param", it.direction)
+        return ("sync", it.direction, it.parents, it.children, it.mode,
+                len(it.payload))
+    return ("param", it.direction, len(it.payload))
 
 
-def _state_instance_of(cand: SymbolicState, gen: SymbolicState, th, leq,
-                       extra_facts: bool = False) -> bool:
-    """True when cand is an instance of gen, up to fresh renaming.
+def _layout(s) -> tuple:
+    """What an instance of a strand keeps: role, bar and item shapes."""
+    return (s.role, s.bar, tuple(map(_item_shape, s.items)))
 
-    A conservative one-sided check: a True answer is always correct, a
-    False answer may miss an instance (e.g. through hard AC matching).
-    Dropping an instance of an explored state preserves every verdict:
-    each backward step from the instance lifts to a step from the more
-    general state, and a reachable initial state lifts to one at least as
-    general, which is still initial.  With `extra_facts`, cand may carry
-    facts beyond the instances of gen's: more demands and more terms still
-    to be learned only make a state harder to reach.
+
+def _terms(state: SymbolicState) -> list:
+    out = [t for s in state.strands for it in s.items for t in item_terms(it)]
+    out += [f.payload for f in state.facts]
+    return out + [t for pair in state.diseqs for t in pair]
+
+
+def _units(strands, facts) -> list:
+    """The terms of each strand, then of each fact."""
+    return [[t for it in s.items for t in item_terms(it)]
+            for s in strands] + [[f.payload] for f in facts]
+
+
+def _diseq_key(l, r, th) -> tuple:
+    return tuple(sorted((term_key(normalize(l, th)),
+                         term_key(normalize(r, th)))))
+
+
+def _state_instance_of(cand: SymbolicState, gen: SymbolicState, th, match,
+                       *, extra_strands: bool = False,
+                       extra_facts: bool = False,
+                       fixed: frozenset = frozenset()) -> bool:
+    """True when cand is an instance of gen: some σ maps each strand of gen
+    to a distinct strand of cand with the same `_layout`, and each fact of
+    gen to a distinct fact of cand of the same kind, term for term.  σ
+    takes each disequality of gen to one of cand's or to a ground pair
+    that normalizes apart.  The fresh values of gen outside `fixed` stand
+    for any fresh values: σ takes them one-to-one to fresh values of cand
+    outside `fixed`.  Without `extra_strands` and `extra_facts`, σ covers
+    the strands and facts of cand exactly.
+
+    `match(pattern, subject, binding)` is the term matcher: it yields the
+    extensions of a binding (a dict from variables to terms) under which
+    pattern matches subject.  Both sides it gets are canonical.
+
+    A True answer is always correct; a False answer may miss an instance
+    where the term matcher is incomplete (hard AC matching).  Dropping an
+    instance of an explored state preserves every verdict: each backward
+    step from the instance lifts to a step from the more general state,
+    and a reachable initial state lifts to one at least as general, which
+    is still initial.  Extra facts only make a state harder to reach.
     """
-    if len(gen.strands) != len(cand.strands):
+    if not extra_strands and len(gen.strands) != len(cand.strands) or \
+            not extra_facts and len(gen.facts) != len(cand.facts):
         return False
-    if len(gen.facts) > len(cand.facts) if extra_facts \
-            else len(gen.facts) < len(cand.facts):
+    # facts with the most arguments first and bare variables last, as a
+    # bare variable matches any fact
+    gfacts = sorted(gen.facts, key=lambda f: -len(term_key(f.payload)))
+    gkeys = [_layout(s) for s in gen.strands] + [f.kind for f in gfacts]
+    slots: dict = {}  # a strand layout or fact kind -> its places in cand
+    for j, key in enumerate([_layout(s) for s in cand.strands] +
+                            [f.kind for f in cand.facts]):
+        slots.setdefault(key, []).append(j)
+    if any(len(slots.get(key, ())) < n for key, n in Counter(gkeys).items()):
         return False
-    bnd: dict = {}  # Var -> Term and FreshConst -> FreshConst
-    fresh_image: set = set()
+    # gen's variables are renamed apart from cand's, so that applying a
+    # binding never takes a variable of cand's for one of gen's, and its
+    # fresh values outside `fixed` become Fresh-sorted variables
+    own = _terms(gen)
+    fresh = sorted(fresh_constants(own) - fixed, key=term_key)
+    fvars = [Var(f"%fresh{i}", FRESH) for i in range(len(fresh))]
+    ren = {v: Var(f"%P{i}", v.sort)
+           for i, v in enumerate(sorted(variables(own), key=term_key))}
+    ren.update(zip(fresh, fvars))
 
-    def bind(p, t, trail) -> bool:
-        bnd[p] = t
-        trail.append(p)
-        return True
+    def prep(ts) -> list:
+        return [canon(_apply(ren, t), th) for t in ts]
 
-    def undo(trail) -> None:
-        while trail:
-            p = trail.pop()
-            t = bnd.pop(p)
-            if isinstance(p, FreshConst):
-                fresh_image.discard(t)
+    # the terms of each place, made canonical (and on gen's side renamed)
+    # when the search first reaches it, so a call that fails early does
+    # not prepare the rest
+    gunits = _units(gen.strands, gfacts)
+    cunits = _units(cand.strands, cand.facts)
+    pats = [None] * len(gunits)
+    subjects = [None] * len(cunits)
+    cand_diseqs = {_diseq_key(l, r, th) for (l, r) in cand.diseqs}
 
-    def match(p, t, trail) -> bool:
-        if isinstance(p, Var):
-            got = bnd.get(p)
-            if got is not None:
-                return got == t
-            if not leq(t.sort, p.sort):
-                return False
-            return bind(p, t, trail)
-        if isinstance(p, FreshConst):
-            got = bnd.get(p)
-            if got is not None:
-                return got == t
-            if not isinstance(t, FreshConst) or t in fresh_image:
-                return False
-            fresh_image.add(t)
-            return bind(p, t, trail)
-        if not isinstance(t, App) or not isinstance(p, App) or p.op != t.op:
-            return False
-        ax = th.axiom(p.op)
-        if ax is not None and ax.assoc and ax.comm and len(p.args) != len(t.args):
-            return _match_ac(p, t, trail)
-        if len(p.args) != len(t.args):
-            return False
-        for pa, ta in zip(p.args, t.args):
-            if not match(pa, ta, trail):
+    def diseqs_hold(b) -> bool:
+        for pair in gen.diseqs:
+            l, r = (normalize(_apply(b, t), th) for t in prep(pair))
+            if _diseq_key(l, r, th) not in cand_diseqs and not (
+                    is_ground(l) and is_ground(r) and
+                    term_key(l) != term_key(r)):
                 return False
         return True
 
-    def _match_ac(p, t, trail) -> bool:
-        # flattened canonical argument lists; at most one collector
-        # variable absorbs the leftover arguments
-        pargs = [a for a in p.args]
-        free = [a for a in pargs if isinstance(a, Var) and a not in bnd]
-        if len(free) != 1:
-            return False
-        var = free[0]
-        pargs.remove(var)
-        if len(pargs) > len(t.args):
-            return False
+    def fresh_ok(b) -> bool:
+        images = [b[v] for v in fvars if v in b]
+        return len(set(images)) == len(images) and all(
+            isinstance(c, FreshConst) and c not in fixed for c in images)
 
-        def place(i, remaining, inner) -> bool:
-            if i == len(pargs):
-                if not remaining:
-                    unit = th.axiom(p.op).unit
-                    return unit is not None and match(var, unit, inner)
-                rest = remaining[0] if len(remaining) == 1 else \
-                    canon(App(p.op, tuple(remaining), p.sort), th)
-                return match(var, rest, inner)
-            for j, ta in enumerate(remaining):
-                sub: list = []
-                if match(pargs[i], ta, sub):
-                    if place(i + 1, remaining[:j] + remaining[j + 1:], inner):
-                        inner.extend(sub)
-                        return True
-                undo(sub)
-            return False
+    def match_all(ps, ss, b, i=0):
+        if i == len(ps):
+            yield b
+            return
+        for b2 in match(ps[i], ss[i], b):
+            yield from match_all(ps, ss, b2, i + 1)
 
-        inner: list = []
-        if place(0, list(t.args), inner):
-            trail.extend(inner)
-            return True
-        undo(inner)
-        return False
-
-    def match_terms(p, t, trail) -> bool:
-        return match(canon(p, th), canon(t, th), trail)
-
-    def match_strand(gs, cs, trail) -> bool:
-        for gi, ci in zip(gs.items, cs.items):
-            if _item_meta(gi) != _item_meta(ci):
-                return False
-            for pt, tt in zip(item_terms(gi), item_terms(ci)):
-                if not match_terms(pt, tt, trail):
-                    return False
-        return True
-
-    groups: dict = {}
-    for s in gen.strands:
-        groups.setdefault(_strand_shape(s), [[], []])[0].append(s)
-    for s in cand.strands:
-        entry = groups.get(_strand_shape(s))
-        if entry is None:
-            return False
-        entry[1].append(s)
-    group_list = list(groups.values())
-    if any(len(gs) != len(cs) for gs, cs in group_list):
-        return False
-
-    cand_diseq_keys = {
-        tuple(sorted((term_key(normalize(l, th)), term_key(normalize(r, th)))))
-        for (l, r) in cand.diseqs
-    }
-
-    def apply_bnd(t):
-        if isinstance(t, (Var, FreshConst)):
-            return bnd.get(t, t)
-        if isinstance(t, App) and t.args:
-            return App(t.op, tuple(apply_bnd(a) for a in t.args), t.sort)
-        return t
-
-    def diseqs_hold() -> bool:
-        for (l, r) in gen.diseqs:
-            key = tuple(sorted((term_key(normalize(apply_bnd(l), th)),
-                                term_key(normalize(apply_bnd(r), th)))))
-            if key not in cand_diseq_keys:
-                return False
-        return True
-
-    gfacts = sorted(gen.facts, key=lambda f: -len(term_key(canon(f.payload, th))))
-
-    def match_facts(i, used) -> bool:
-        if i == len(gfacts):
-            return (extra_facts or len(used) == len(cand.facts)) and \
-                diseqs_hold()
-        f = gfacts[i]
-        for j, cf in enumerate(cand.facts):
-            if cf.kind != f.kind:
+    def place(i, b, used) -> bool:
+        if i == len(pats):
+            return diseqs_hold(b)
+        if pats[i] is None:
+            pats[i] = prep(gunits[i])
+        for j in slots[gkeys[i]]:
+            if j in used:
                 continue
-            trail: list = []
-            if match_terms(f.payload, cf.payload, trail) and \
-                    match_facts(i + 1, used | {j}):
-                return True
-            undo(trail)
+            if subjects[j] is None:
+                subjects[j] = [canon(t, th) for t in cunits[j]]
+            for b2 in match_all(pats[i], subjects[j], b):
+                if fresh_ok(b2) and place(i + 1, b2, used | {j}):
+                    return True
         return False
 
-    def match_groups(k) -> bool:
-        if k == len(group_list):
-            return match_facts(0, frozenset())
-        gs, cs = group_list[k]
-        for perm in permutations(cs):
-            trail: list = []
-            if all(match_strand(g, c, trail) for g, c in zip(gs, perm)) and \
-                    match_groups(k + 1):
-                return True
-            undo(trail)
-        return False
-
-    return match_groups(0)
+    return place(0, {}, frozenset())
 
 
 def reachability_search(start: SymbolicState, spec: RuntimeSpec, mode: str,
@@ -385,6 +334,10 @@ def reachability_search(start: SymbolicState, spec: RuntimeSpec, mode: str,
     push(root)
     best = {root.key: 0}  # the least depth each key was reached at
     th, leq = spec.theory, spec.signature.leq
+
+    def subsumes(p, t, b):
+        return match_ax(p, t, th, b, leq)
+
     kept: dict = {_skeleton(start): [start]}
     truncated = False  # depth or state budget cut off unexplored states
     while frontier:
@@ -438,7 +391,7 @@ def reachability_search(start: SymbolicState, spec: RuntimeSpec, mode: str,
             # bound the scan so subsumption cost stays linear overall
             if any((len(g.facts) <= nf if reductions else len(g.facts) >= nf)
                    and g.depth <= pred.depth
-                   and _state_instance_of(pred, g, th, leq,
+                   and _state_instance_of(pred, g, th, subsumes,
                                           extra_facts=reductions)
                    for g in bucket[:_SUBSUME_SCAN_CAP]):
                 stats["subsumed"] += 1
@@ -552,55 +505,29 @@ def trace_replay(result: SearchResult, spec: RuntimeSpec, mode: str,
     """
     if not result.found or not result.trace:
         return False
+    th = spec.theory
+    modulo = partial(match_extensions, th=th, leq=spec.signature.leq)
+
+    def arrangement(state):
+        return ([_layout(s) for s in state.strands],
+                [f.kind for f in state.facts], len(state.diseqs))
+
     minter = Minter()
     for prev, nxt in zip(result.trace, result.trace[1:]):
         steps = backward_successors(prev.state, spec, mode, minter,
                                     lazy_vars=lazy_vars)
         want = state_key(nxt.state)
+        # item for item and fact for fact; only the fresh values a step
+        # mints anew may be renamed
+        fixed = fresh_constants(_terms(prev.state))
         if not any(s.rule == nxt.rule and
                    (s.key == want or
-                    _instance_modulo(nxt.state, s.predecessor, prev.state,
-                                     spec))
+                    arrangement(s.predecessor) == arrangement(nxt.state) and
+                    _state_instance_of(nxt.state, s.predecessor, th, modulo,
+                                       fixed=fixed))
                    for s in steps):
             return False
     return _goal(result.trace[-1].state, lazy_vars)
-
-
-def _instance_modulo(cand: SymbolicState, gen: SymbolicState,
-                     before: SymbolicState, spec: RuntimeSpec) -> bool:
-    """cand is an instance of gen modulo the theory, item for item and
-    fact for fact; fresh values gen minted anew may be renamed apart."""
-    if [(s.role, s.bar, tuple(map(_item_meta, s.items))) for s in gen.strands] != \
-            [(s.role, s.bar, tuple(map(_item_meta, s.items))) for s in cand.strands] \
-            or [f.kind for f in gen.facts] != [f.kind for f in cand.facts] \
-            or len(gen.diseqs) != len(cand.diseqs):
-        return False
-
-    def terms(state):
-        out = [t for s in state.strands for it in s.items for t in item_terms(it)]
-        out += [f.payload for f in state.facts]
-        return out + [t for pair in state.diseqs for t in pair]
-
-    old = fresh_constants(tuple(terms(before)))
-    new = sorted(fresh_constants(tuple(terms(gen))) - old, key=term_key)
-    ren = {c: Var(f"%fresh{k}", FRESH) for k, c in enumerate(new)}
-    pattern = App("%tup", tuple(_unfresh(t, ren) for t in terms(gen)), "Msg")
-    target = App("%tup", tuple(terms(cand)), "Msg")
-    for sg in match_modulo(pattern, target, spec.theory,
-                           leq=spec.signature.leq):
-        images = [sg(v) for v in ren.values()]
-        if all(isinstance(c, FreshConst) and c not in old for c in images) \
-                and len(set(images)) == len(images):
-            return True
-    return False
-
-
-def _unfresh(t, ren: dict):
-    if isinstance(t, FreshConst):
-        return ren.get(t, t)
-    if isinstance(t, App) and t.args:
-        return App(t.op, tuple(_unfresh(a, ren) for a in t.args), t.sort)
-    return t
 
 
 def trace_to_dot(result: SearchResult) -> str:
@@ -627,6 +554,30 @@ def _state_label(state: SymbolicState) -> str:
 
 # ------------------------------------------------------------ comparison
 
+def _levels(start: SymbolicState, spec: RuntimeSpec, mode: str, depth: int,
+            lazy_vars: bool, view=None):
+    """The levels of the backward search tree to `depth`, breadth first:
+    yields each level's set of state keys and its states not met before.
+    `view` maps each state to the representation it is keyed by."""
+    minter = Minter()
+    seen = {state_key(start if view is None else view(start))}
+    frontier = [start]
+    yield set(seen), frontier
+    for _ in range(depth):
+        keys, nxt = set(), []
+        for st in frontier:
+            for step in backward_successors(st, spec, mode, minter,
+                                            lazy_vars=lazy_vars):
+                k = step.key if view is None else \
+                    state_key(view(step.predecessor))
+                keys.add(k)
+                if k not in seen:
+                    seen.add(k)
+                    nxt.append(step.predecessor)
+        yield keys, nxt
+        frontier = nxt
+
+
 def level_keys(start: SymbolicState, spec: RuntimeSpec, mode: str,
                depth: int, view=None, lazy_vars: bool = True) -> list:
     """Per-depth sets of canonical state keys of the backward search tree.
@@ -635,47 +586,15 @@ def level_keys(start: SymbolicState, spec: RuntimeSpec, mode: str,
     keying (used to compare the explicit-synchronization rules against the
     abstract composition rules through the view translation).
     """
-    minter = Minter()
-    conv = view or (lambda st: st)
-    levels = [{state_key(conv(start))}]
-    frontier = [start]
-    seen = {state_key(conv(start))}
-    for _ in range(depth):
-        nxt = []
-        keys = set()
-        for st in frontier:
-            for step in backward_successors(st, spec, mode, minter,
-                                            lazy_vars=lazy_vars):
-                k = step.key if view is None else \
-                    state_key(conv(step.predecessor))
-                keys.add(k)
-                if k not in seen:
-                    seen.add(k)
-                    nxt.append(step.predecessor)
-        levels.append(keys)
-        frontier = nxt
-    return levels
+    return [keys for keys, _ in _levels(start, spec, mode, depth, lazy_vars,
+                                        view)]
 
 
 def level_states(start: SymbolicState, spec: RuntimeSpec, mode: str,
                  depth: int, lazy_vars: bool = True) -> list:
     """Per-depth lists of distinct states of the backward search tree."""
-    minter = Minter()
-    levels = [[start]]
-    frontier = [start]
-    seen = {state_key(start)}
-    for _ in range(depth):
-        nxt = []
-        for st in frontier:
-            for step in backward_successors(st, spec, mode, minter,
-                                            lazy_vars=lazy_vars):
-                k = step.key
-                if k not in seen:
-                    seen.add(k)
-                    nxt.append(step.predecessor)
-        levels.append(nxt)
-        frontier = nxt
-    return levels
+    return [states for _, states in _levels(start, spec, mode, depth,
+                                            lazy_vars)]
 
 
 def bisimulation_report(abs_start: SymbolicState, abs_spec: RuntimeSpec,

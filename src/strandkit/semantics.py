@@ -35,8 +35,8 @@ from .model import (
     instantiate,
     state_key,
 )
-from .terms import App, FRESH, FreshConst, IDENTITY, MSG, Signature, Subst, \
-    Term, is_ground, term_key, term_size
+from .terms import App, FRESH, IDENTITY, MSG, Signature, Subst, Term, \
+    _apply, is_ground, term_key, term_size
 from .terms import Var as VarType
 from .theory import EquationalTheory, eq_modulo, normalize
 from .unify import UnifierSet, match_modulo, unify_modulo
@@ -495,17 +495,8 @@ def _forward_intro(state: SymbolicState, spec: RuntimeSpec) -> list:
                 # stay bindable rather than minted anew
                 table = {fc: VarType(f"%f{fc.hint}{fc.ident}", FRESH)
                          for fc in inst.fresh_ids}
-
-                def devar(t, _table=table):
-                    if isinstance(t, FreshConst):
-                        return _table.get(t, t)
-                    if isinstance(t, App) and t.args:
-                        return App(t.op, tuple(devar(a, _table)
-                                               for a in t.args), t.sort)
-                    return t
-
-                payload = devar(inst.items[idx].payload)
-                demands = [devar(x.payload) for x in inst.items[:idx]
+                payload = _apply(table, inst.items[idx].payload)
+                demands = [_apply(table, x.payload) for x in inst.items[:idx]
                            if x.polarity == "-"]
                 produced = False
                 for sg in match_modulo(payload, f.payload, th, leq=leq):

@@ -349,18 +349,22 @@ class Subst(Mapping):
                     raise SortClash(f"substitution domain must be variables, got {v!r}")
             # Make idempotent: substitute the map into its own ranges until no
             # domain variable remains in a range.  A cycle means the map was
-            # not a valid idempotent substitution.
-            for _ in range(len(m) + 1):
-                dirty = False
-                for v in list(m):
-                    new = _apply(m, m[v])
-                    if new != m[v]:
-                        m[v] = new
-                        dirty = True
-                if not dirty:
-                    break
-            else:
-                raise SortClash("cyclic substitution")
+            # not a valid idempotent substitution; one through a variable
+            # image never ends the recursion of `_apply`.
+            try:
+                for _ in range(len(m) + 1):
+                    dirty = False
+                    for v in list(m):
+                        new = _apply(m, m[v])
+                        if new != m[v]:
+                            m[v] = new
+                            dirty = True
+                    if not dirty:
+                        break
+                else:
+                    raise SortClash("cyclic substitution")
+            except RecursionError:
+                raise SortClash("cyclic substitution") from None
             for v in list(m):
                 if v == m[v]:
                     del m[v]
@@ -408,8 +412,12 @@ IDENTITY = Subst()
 
 
 def _apply(m: Mapping, t):
-    if isinstance(t, Var):
-        return m.get(t, t)
+    """t with the map m applied; m maps variables, and fresh constants, to
+    terms.  A binding whose image is itself a bound variable is followed,
+    as the triangular maps of `unify._solve` need; an idempotent `Subst`
+    never has one."""
+    if not m:
+        return t
     if isinstance(t, App):
         args = t.args
         if not args:
@@ -417,6 +425,11 @@ def _apply(m: Mapping, t):
         new = tuple([_apply(m, a) for a in args])
         # an unchanged term is returned, not rebuilt, so it stays shared
         return t if new == args else App(t.op, new, t.sort)
+    if isinstance(t, (Var, FreshConst)):
+        got = m.get(t)
+        if got is None:
+            return t
+        return _apply(m, got) if isinstance(got, Var) and got in m else got
     if isinstance(t, tuple):
         return tuple(_apply(m, a) for a in t)
     return t

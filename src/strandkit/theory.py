@@ -223,14 +223,15 @@ def ac_combine(atoms: Sequence[Term], op: str, th: EquationalTheory, sort: str) 
 
 
 def match_ax(pattern: Term, subject: Term, th: EquationalTheory,
-             binding: Optional[dict] = None) -> Iterator[dict]:
+             binding: Optional[dict] = None, leq=None) -> Iterator[dict]:
     """Match pattern against subject modulo the structural axioms.
 
     Yields extensions of the given binding (dicts from Var to Term).  Both
     sides are assumed canonical.  AC matching is complete only for small
     argument lists: non-variable pattern arguments are matched injectively
     and at most one trailing pattern variable absorbs the leftovers, which
-    covers every rule shape used here.
+    covers every rule shape used here.  With a subsort test `leq`, a
+    variable binds only a subject whose sort is below its own.
     """
     if binding is None:
         binding = {}
@@ -239,7 +240,8 @@ def match_ax(pattern: Term, subject: Term, th: EquationalTheory,
             if term_key(binding[pattern]) == term_key(subject):
                 yield binding
             return
-        yield {**binding, pattern: subject}
+        if leq is None or leq(subject.sort, pattern.sort):
+            yield {**binding, pattern: subject}
         return
     if isinstance(pattern, FreshConst):
         if pattern == subject:
@@ -250,7 +252,7 @@ def match_ax(pattern: Term, subject: Term, th: EquationalTheory,
     ax = th.axiom(pattern.op)
     if ax is not None and ax.assoc and ax.comm:
         yield from _match_ac(list(pattern.args), list(subject.args), pattern.op,
-                             pattern.sort, th, binding)
+                             pattern.sort, th, binding, leq)
         return
     if len(pattern.args) != len(subject.args):
         return
@@ -258,24 +260,25 @@ def match_ax(pattern: Term, subject: Term, th: EquationalTheory,
     if ax is not None and ax.comm and len(subject.args) == 2:
         orders = [subject.args, subject.args[::-1]]
     for order in orders:
-        yield from _match_seq(pattern.args, order, th, binding)
+        yield from _match_seq(pattern.args, order, th, binding, leq)
 
 
-def _match_seq(pats, subjs, th, binding) -> Iterator[dict]:
+def _match_seq(pats, subjs, th, binding, leq) -> Iterator[dict]:
     if not pats:
         yield binding
         return
-    for b in match_ax(pats[0], subjs[0], th, binding):
-        yield from _match_seq(pats[1:], subjs[1:], th, b)
+    for b in match_ax(pats[0], subjs[0], th, binding, leq):
+        yield from _match_seq(pats[1:], subjs[1:], th, b, leq)
 
 
-def _match_ac(pats, subjs, op, sort, th, binding) -> Iterator[dict]:
+def _match_ac(pats, subjs, op, sort, th, binding, leq) -> Iterator[dict]:
     if len(pats) > len(subjs):
         return
     if len(pats) == len(subjs):
         seen = set()
         for perm in permutations(range(len(subjs))):
-            for b in _match_seq(pats, [subjs[i] for i in perm], th, binding):
+            for b in _match_seq(pats, [subjs[i] for i in perm], th, binding,
+                                leq):
                 key = tuple(sorted((v.name, term_key(t)) for v, t in b.items()))
                 if key not in seen:
                     seen.add(key)
@@ -291,21 +294,28 @@ def _match_ac(pats, subjs, op, sort, th, binding) -> Iterator[dict]:
             chosen_set = set(chosen)
             leftover = [subjs[i] for i in range(len(subjs)) if i not in chosen_set]
             absorbed = ac_combine(leftover, op, th, sort)
-            for b0 in match_ax(pv, absorbed, th, binding):
-                yield from _match_seq(rest_pats, [subjs[i] for i in chosen], th, b0)
+            for b0 in match_ax(pv, absorbed, th, binding, leq):
+                yield from _match_seq(rest_pats, [subjs[i] for i in chosen], th,
+                                      b0, leq)
         return  # one absorber is enough for the rule shapes in scope
 
 
 class _Budget:
-    __slots__ = ("left",)
+    """A count of steps that allows exactly n: `spend` answers whether a
+    step is left and sets `blown` once none is."""
+
+    __slots__ = ("left", "blown")
 
     def __init__(self, n: int):
         self.left = n
+        self.blown = False
 
-    def spend(self) -> None:
+    def spend(self) -> bool:
+        if self.left <= 0:
+            self.blown = True
+            return False
         self.left -= 1
-        if self.left < 0:
-            raise StepBudgetExceeded("rewrite step budget exhausted")
+        return True
 
 
 def normalize(t: Term, th: EquationalTheory) -> Term:
@@ -359,7 +369,8 @@ def _rewrite_root(t: App, th: EquationalTheory, budget: _Budget) -> Optional[Ter
         if not isinstance(lhs_r, App) or lhs_r.op != t.op:
             continue  # match_ax needs the same head
         for b in match_ax(lhs_r, t, th):
-            budget.spend()
+            if not budget.spend():
+                raise StepBudgetExceeded("rewrite step budget exhausted")
             return canon(Subst(b, _trusted=True)(rhs_r), th)
     return None
 

@@ -11,7 +11,7 @@ reported, so soundness never depends on the solver internals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .terms import (
     App,
@@ -21,6 +21,7 @@ from .terms import (
     Subst,
     Term,
     Var,
+    _apply,
     least_sort,
     term_key,
     variables,
@@ -28,6 +29,7 @@ from .terms import (
 from .theory import (
     EMPTY_THEORY,
     EquationalTheory,
+    _Budget,
     ac_atoms,
     ac_combine,
     canon,
@@ -75,21 +77,6 @@ def syntactic_unify(t1: Term, t2: Term) -> Optional[Subst]:
         return None
 
 
-class _Budget:
-    __slots__ = ("left", "blown")
-
-    def __init__(self, n: int):
-        self.left = n
-        self.blown = False
-
-    def spend(self) -> bool:
-        if self.left <= 0:
-            self.blown = True
-            return False
-        self.left -= 1
-        return True
-
-
 def _bind(v: Var, t: Term, subst: dict, th: EquationalTheory) -> Optional[dict]:
     t = canon(_apply(subst, t), th)
     if isinstance(t, Var) and t == v:
@@ -102,20 +89,6 @@ def _bind(v: Var, t: Term, subst: dict, th: EquationalTheory) -> Optional[dict]:
         out[w] = canon(_apply(new, u), th)
     out[v] = t
     return out
-
-
-def _apply(m: dict, t):
-    if not m:
-        return t
-    if isinstance(t, Var):
-        got = m.get(t)
-        if got is None:
-            return t
-        return _apply(m, got) if isinstance(got, Var) and got in m else got
-    if isinstance(t, App) and t.args:
-        new = tuple([_apply(m, a) for a in t.args])
-        return t if new == t.args else App(t.op, new, t.sort)
-    return t
 
 
 def _solve(eqns: list, subst: dict, th: EquationalTheory, budget: _Budget,
@@ -644,6 +617,20 @@ def match_modulo(pattern: Term, target: Term, th: EquationalTheory,
         m = {v: _thaw(t, thaw) for v, t in s.items() if v in pvars}
         out.append(Subst(m, _trusted=True))
     return UnifierSet(tuple(out), got.complete)
+
+
+def match_extensions(pattern: Term, target: Term, binding: dict,
+                     th: EquationalTheory, leq=None) -> Iterator[dict]:
+    """`match_modulo` as a generator of extensions of `binding`, which maps
+    pattern variables to target terms.  The images of the variables of the
+    pattern that `binding` already binds are matched as part of the
+    target, so the target's variables stay fixed in them too."""
+    bound = sorted(variables(pattern) & binding.keys(), key=term_key)
+    if bound:
+        pattern = App("%tup", (pattern, *bound), "Msg")
+        target = App("%tup", (target, *(binding[v] for v in bound)), "Msg")
+    for s in match_modulo(pattern, target, th, leq=leq):
+        yield {**s, **binding}
 
 
 def _thaw(t: Term, thaw: dict) -> Term:

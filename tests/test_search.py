@@ -18,6 +18,7 @@ from strandkit.search import (
     INCONCLUSIVE,
     SECURE_FINITE,
     SearchBudget,
+    _state_instance_of,
     bisimulation_report,
     level_keys,
     level_states,
@@ -26,7 +27,7 @@ from strandkit.search import (
     trace_to_dot,
 )
 from strandkit.semantics import ABSTRACT, BASIC, SYNC, runtime_spec, trans_inv
-from strandkit.terms import Var
+from strandkit.terms import App, FreshConst, Var
 
 SPECS = pathlib.Path(__file__).resolve().parents[1] / "specs"
 
@@ -187,3 +188,91 @@ def test_bisimulation_divergence_on_mode_corruption(nsl_db):
     assert not bad["equivalent"]
     first_bad = next(lv for lv in bad["levels"] if not lv["matched"])
     assert first_bad["sync_states"] > first_bad["common"]
+
+
+# ------------------------------------------------------ the state matcher
+
+def _matcher_setup():
+    from strandkit.terms import FRESH, MSG, Signature
+    from strandkit.theory import AxiomDecl, EquationalTheory, match_ax
+
+    sig = Signature()
+    sig.add_subsort("Name", MSG)
+    sig.add_subsort(FRESH, MSG)
+    zero = App("zero", (), MSG)
+    th = EquationalTheory(axioms=(("xor", AxiomDecl(
+        assoc=True, comm=True, unit=zero, nilpotent=True)),))
+    return th, lambda p, t, b: match_ax(p, t, th, b, sig.leq)
+
+
+A, B, C = (App(n, (), "Msg") for n in "abc")
+X, Y, U, V = (Var(n) for n in "XYUV")
+R1, R2, R5, R6 = (FreshConst(i) for i in (1, 2, 5, 6))
+
+
+def _pair(s, t):
+    return App("pair", (s, t), "Msg")
+
+
+def _state(strands=(), known=(), diseqs=()):
+    return SymbolicState(
+        tuple(StrandInstance(role, (SignedMessage("+", t),), 1)
+              for role, t in strands),
+        tuple(IntruderFact(KNOWN, t) for t in known), tuple(diseqs))
+
+
+# (case, gen, cand, options, whether cand is an instance of gen)
+MATCHER_CASES = [
+    ("extra strand refused", _state([("A", X)]),
+     _state([("A", A), ("B", B)]), {}, False),
+    ("extra strand allowed", _state([("A", X)]),
+     _state([("A", A), ("B", B)]), {"extra_strands": True}, True),
+    ("strands need the same role", _state([("A", X)]), _state([("B", A)]),
+     {}, False),
+    ("extra fact refused", _state(known=[X]), _state(known=[A, B]), {},
+     False),
+    ("extra fact allowed", _state(known=[X]), _state(known=[A, B]),
+     {"extra_facts": True}, True),
+    ("facts map one-to-one", _state(known=[X, Y]), _state(known=[A]),
+     {"extra_facts": True}, False),
+    ("two fresh values cannot share an image",
+     _state(known=[_pair(R1, R2)]), _state(known=[_pair(R5, R5)]), {},
+     False),
+    ("two fresh values bind two", _state(known=[_pair(R1, R2)]),
+     _state(known=[_pair(R5, R6)]), {}, True),
+    ("a fresh value binds only a fresh value", _state(known=[R1]),
+     _state(known=[A]), {}, False),
+    ("a fixed fresh value stays", _state(known=[R1]), _state(known=[R2]),
+     {"fixed": frozenset({R1})}, False),
+    ("a fixed fresh value matches itself", _state(known=[R1]),
+     _state(known=[R1]), {"fixed": frozenset({R1})}, True),
+    ("a fixed fresh value is no image", _state(known=[R2]),
+     _state(known=[R1]), {"fixed": frozenset({R1})}, False),
+    ("a disequality needs a counterpart", _state(known=[_pair(X, Y)],
+                                                 diseqs=[(X, Y)]),
+     _state(known=[_pair(U, V)]), {}, False),
+    ("a disequality maps to one of cand's", _state(known=[_pair(X, Y)],
+                                                   diseqs=[(X, Y)]),
+     _state(known=[_pair(U, V)], diseqs=[(V, U)]), {}, True),
+    ("a disequality holds on ground terms apart",
+     _state(known=[_pair(X, Y)], diseqs=[(X, Y)]),
+     _state(known=[_pair(A, B)]), {}, True),
+    ("a disequality fails on equal ground terms",
+     _state(known=[_pair(X, Y)], diseqs=[(X, Y)]),
+     _state(known=[_pair(A, A)]), {}, False),
+    ("a collector variable absorbs the rest of a sum",
+     _state(known=[App("xor", (A, X), "Msg")]),
+     _state(known=[App("xor", (A, B, C), "Msg")]), {}, True),
+    ("a Name variable does not bind a Msg variable",
+     _state(known=[Var("N", "Name")]), _state(known=[X]), {}, False),
+    ("a Name variable binds a Name", _state(known=[Var("N", "Name")]),
+     _state(known=[Var("M", "Name")]), {}, True),
+]
+
+
+@pytest.mark.parametrize("gen, cand, options, want",
+                         [case[1:] for case in MATCHER_CASES],
+                         ids=[case[0] for case in MATCHER_CASES])
+def test_state_matcher_contract(gen, cand, options, want):
+    th, match = _matcher_setup()
+    assert _state_instance_of(cand, gen, th, match, **options) is want

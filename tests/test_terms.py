@@ -103,6 +103,21 @@ def test_subst_apply_and_compose():
     assert comp(t) == s2(s1(t))
 
 
+def test_subst_rejects_variable_cycle():
+    x, y = Var("X"), Var("Y")
+    for m in ({x: y, y: x}, {x: App("f", (y,)), y: x}):
+        with pytest.raises(SortClash):
+            Subst(m)
+
+
+def test_apply_follows_bound_images_and_maps_fresh_constants():
+    from strandkit.terms import _apply
+
+    x, y, c, r = Var("X"), Var("Y"), App("c", ()), FreshConst(3)
+    assert _apply({x: y, y: c}, App("f", (x,))) == App("f", (c,))
+    assert _apply({r: x}, App("f", (r, c))) == App("f", (x, c))
+
+
 def test_subst_is_idempotent():
     x, y = Var("X"), Var("Y")
     s = Subst({x: App("f", (y,)), y: App("c", ())})

@@ -113,6 +113,28 @@ def test_match_modulo_ac(xor_theory):
     assert any(m[X] == b for m in sols)
 
 
+def test_match_ax_sort_check(xor_theory):
+    leq = lambda s1, s2: s1 == s2 or s2 == "Msg"
+    N, a, m = Var("N", "Name"), const("a", "Name"), const("m")
+    assert list(match_ax(N, m, xor_theory)) == [{N: m}]
+    assert list(match_ax(N, m, xor_theory, leq=leq)) == []
+    assert list(match_ax(N, a, xor_theory, leq=leq)) == [{N: a}]
+    # the same check on a variable under an AC operator
+    pat = canon(xor(const("b"), N), xor_theory)
+    assert not list(match_ax(pat, canon(xor(const("b"), m), xor_theory),
+                             xor_theory, leq=leq))
+    assert list(match_ax(pat, canon(xor(const("b"), a), xor_theory),
+                         xor_theory, leq=leq)) == [{N: a}]
+
+
+def test_budget_allows_exactly_n_steps():
+    from strandkit.theory import _Budget
+
+    budget = _Budget(2)
+    assert budget.spend() and budget.spend() and not budget.blown
+    assert not budget.spend() and budget.blown
+
+
 def test_eq_modulo(cancel_theory):
     a = const("a", "Name")
     m = const("m")
