@@ -27,8 +27,12 @@ from .model import (
     SyncPoint,
     UnknownComposition,
     check_wellformed,
+    children_of,
     item_terms,
     map_item,
+    parents_of,
+    sync_point,
+    uniform_mode,
 )
 from .terms import (
     App,
@@ -40,6 +44,7 @@ from .terms import (
     Subst,
     Var,
     const,
+    fresh_constants,
     term_key,
     variables,
 )
@@ -800,21 +805,6 @@ def merge_protocols(doc: Document, name: str) -> ProtocolSpec:
                         schemas, order)
 
 
-def _children_of(triples: list, parent: str) -> list:
-    return [c for (a, c, m) in triples if a == parent]
-
-
-def _parents_of(triples: list, child: str) -> list:
-    return [a for (a, c, m) in triples if c == child]
-
-
-def _mode_of(triples: list, role: str) -> Optional[str]:
-    for (a, c, m) in triples:
-        if a == role or c == role:
-            return m
-    return None
-
-
 def synch_transform(doc: Document) -> ProtocolSpec:
     """Replace parameter lists by explicit synchronization points.
 
@@ -825,28 +815,8 @@ def synch_transform(doc: Document) -> ProtocolSpec:
     merged = merge_protocols(doc, "_".join(p.name for p in doc.protocols) + "_sync")
     schemas: dict = {}
     for role, sch in merged.schemas.items():
-        items = []
-        for it in sch.items:
-            if isinstance(it, ParamList):
-                if it.direction == "out":
-                    children = _children_of(doc.triples, role)
-                    if not children:
-                        raise UnknownComposition(f"{role} has no child in the "
-                                                 "composition relation")
-                    mode = _mode_of(doc.triples, role)
-                    items.append(SyncPoint("out", (role,), tuple(children),
-                                           mode, it.payload))
-                else:
-                    parents = _parents_of(doc.triples, role)
-                    if not parents:
-                        raise UnknownComposition(f"{role} has no parent in the "
-                                                 "composition relation")
-                    mode = _mode_of(doc.triples, role)
-                    items.append(SyncPoint("in", tuple(parents), (role,),
-                                           mode, it.payload))
-            else:
-                items.append(it)
-        schemas[role] = StrandSchema(role, sch.fresh, tuple(items))
+        items = tuple(sync_point(role, it, doc.triples) for it in sch.items)
+        schemas[role] = StrandSchema(role, sch.fresh, items)
     return ProtocolSpec(merged.name, merged.signature, merged.theory,
                         merged.vars, schemas, merged.role_order)
 
@@ -890,11 +860,11 @@ def phi_transform(doc: Document) -> ProtocolSpec:
         out_item = sch.output_item
         announce = True
         if in_item is not None:
-            parents = _parents_of(doc.triples, role)
+            parents = parents_of(doc.triples, role)
             if not parents:
                 raise UnknownComposition(f"{role} has no parent in the "
                                          "composition relation")
-            mode = _mode_of(doc.triples, role)
+            mode = uniform_mode(doc.triples, role)
             if mode == MODE_ONE_ONE:
                 if len(parents) != 1:
                     raise UnknownComposition(
@@ -915,11 +885,11 @@ def phi_transform(doc: Document) -> ProtocolSpec:
                     tag = _fresh_msg_var(vars_, "RO", ROLE)
                 pre.append(SignedMessage("-", dotted(tag, in_item.payload)))
         if out_item is not None:
-            children = _children_of(doc.triples, role)
+            children = children_of(doc.triples, role)
             if not children:
                 raise UnknownComposition(f"{role} has no child in the "
                                          "composition relation")
-            mode = _mode_of(doc.triples, role)
+            mode = uniform_mode(doc.triples, role)
             if mode == MODE_ONE_ONE:
                 # the child mints the identifier; the parent receives it
                 if len(children) != 1:
@@ -990,7 +960,7 @@ def attack_state(doc: Document, attack_name: str, spec: ProtocolSpec,
             items.append(it)
         items = tuple(items)
         own = tuple(sorted({f for f in fresh_map.values()
-                            if any(f in _fresh_of(t) for it in items
+                            if any(f in fresh_constants(t) for it in items
                                    for t in item_terms(it))},
                            key=lambda f: f.ident))
         strands.append(StrandInstance(role, items, len(past), own))
@@ -999,9 +969,3 @@ def attack_state(doc: Document, attack_name: str, spec: ProtocolSpec,
     diseqs = tuple((normalize(s(l), th), normalize(s(r), th))
                    for (l, r) in atk.diseqs)
     return SymbolicState(tuple(strands), facts, diseqs, 0)
-
-
-def _fresh_of(t):
-    from .terms import fresh_constants
-
-    return fresh_constants(t)

@@ -39,14 +39,15 @@ from __future__ import annotations
 
 import itertools
 
-from .model import ParamList, SignedMessage, SyncPoint, map_item
-from .semantics import ABSTRACT, SYNC
+from .model import SignedMessage, map_item
+from .semantics import _interface, _parent_roles
 from .terms import (
     App,
     FRESH,
     FreshConst,
     Subst,
     Var,
+    _apply,
     is_ground,
     term_key,
     variables,
@@ -375,7 +376,7 @@ class Grammar:
                 prefix.append(it)
             item_lists.append(prefix)
         for role in sorted(self._parents(spec, mode, extra_strands)):
-            item_lists += self._handed_over(spec, spec.schemas[role])
+            item_lists += self._handed_over(spec, mode, spec.schemas[role])
         out = []
         for items in item_lists:
             received = []
@@ -396,41 +397,29 @@ class Grammar:
         found: set = set()
         todo = [s.role for s in extra_strands]
         while todo:
-            schema = spec.schemas.get(todo.pop())
+            role = todo.pop()
+            schema = spec.schemas.get(role)
             head = schema.items[0] if schema and schema.items else None
-            if mode == SYNC and isinstance(head, SyncPoint) and \
-                    head.direction == "in":
-                parents = head.parents
-            elif mode == ABSTRACT and isinstance(head, ParamList) and \
-                    head.direction == "in":
-                parents = spec.parents_of(schema.role)
-            else:
-                continue
-            for a in parents:
+            for a in _parent_roles(spec, mode, role, head):
                 if a in spec.schemas and a not in found:
                     found.add(a)
                     todo.append(a)
         return found
 
-    def _handed_over(self, spec, schema) -> list:
+    def _handed_over(self, spec, mode, schema) -> list:
         """The schema's items, with a child's input parameters bound to
         each parent's output in turn (left unbound when that is unknown)."""
         head = schema.items[0] if schema.items else None
-        if not isinstance(head, (ParamList, SyncPoint)) or head.direction != "in":
-            return [schema.items]
-        parents = head.parents if isinstance(head, SyncPoint) \
-            else spec.parents_of(schema.role)
         out = []
-        for a in sorted(set(parents)):
+        for a in sorted(set(_parent_roles(spec, mode, schema.role, head))):
             parent = spec.schemas.get(a)
             last = parent.items[-1] if parent and parent.items else None
-            if not isinstance(last, (ParamList, SyncPoint)) or \
-                    last.direction != "out" or \
+            if not _interface(mode, last, "out") or \
                     len(last.payload) != len(head.payload):
                 return [schema.items]
-            given = _rename(_tup(last.payload),
-                            {v: Var(f"{v.name}%P", v.sort)
-                             for v in variables(_tup(last.payload))})
+            given = _tup(last.payload)
+            given = _apply({v: Var(f"{v.name}%P", v.sort)
+                            for v in variables(given)}, given)
             us = unify_modulo(given, _tup(head.payload), self.theory,
                               leq=self.leq)
             if not us.complete:
@@ -596,8 +585,8 @@ class Grammar:
             return False
         self._renamed += 1
         tag = f"%E{self._renamed}"
-        exceptions.append((_rename(t, {v: Var(f"{v.name}{tag}", v.sort)
-                                       for v in variables(t)}),
+        exceptions.append((_apply({v: Var(f"{v.name}{tag}", v.sort)
+                                   for v in variables(t)}, t),
                            path, mode))
         return True
 
@@ -627,11 +616,3 @@ def _subterms(t, out: dict) -> None:
         out[term_key(t)] = t
         for a in t.args:
             _subterms(a, out)
-
-
-def _rename(t, ren: dict):
-    if isinstance(t, Var):
-        return ren.get(t, t)
-    if isinstance(t, App) and t.args:
-        return App(t.op, tuple(_rename(a, ren) for a in t.args), t.sort)
-    return t

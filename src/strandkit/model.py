@@ -86,6 +86,48 @@ class SyncPoint:
 Item = Union[SignedMessage, ParamList, SyncPoint]
 
 
+# The composition relation is a list of (parent role, child role, mode)
+# triples.
+
+
+def parents_of(triples: list, role: str) -> list:
+    """The roles `role` is a child of, one per triple, in triple order."""
+    return [a for (a, c, m) in triples if c == role]
+
+
+def children_of(triples: list, role: str) -> list:
+    """The roles `role` is a parent of, one per triple, in triple order."""
+    return [c for (a, c, m) in triples if a == role]
+
+
+def uniform_mode(triples: list, role: str) -> str:
+    """The one mode `role` is composed under, as parent or child."""
+    modes = {m for (a, c, m) in triples if role in (a, c)}
+    if len(modes) != 1:
+        raise UnknownComposition(f"{role} has no single composition mode")
+    return modes.pop()
+
+
+def sync_point(role: str, item: Item, triples: list) -> Item:
+    """The synchronization point a parameter list of `role` becomes: an
+    output names every child the relation gives the role, an input every
+    parent.  Other items are returned as they are."""
+    if not isinstance(item, ParamList):
+        return item
+    if item.direction == "out":
+        parents, children = (role,), tuple(children_of(triples, role))
+        if not children:
+            raise UnknownComposition(f"{role} has no child in the "
+                                     "composition relation")
+    else:
+        parents, children = tuple(parents_of(triples, role)), (role,)
+        if not parents:
+            raise UnknownComposition(f"{role} has no parent in the "
+                                     "composition relation")
+    return SyncPoint(item.direction, parents, children,
+                     uniform_mode(triples, role), item.payload)
+
+
 def item_terms(item: Item) -> tuple:
     if isinstance(item, SignedMessage):
         return (item.payload,)
@@ -295,19 +337,6 @@ def apply_subst_state(state: SymbolicState, s: Subst,
 
 def normalize_state(state: SymbolicState, th: EquationalTheory) -> Optional[SymbolicState]:
     return apply_subst_state(state, Subst(), th)
-
-
-def state_variables(state: SymbolicState) -> set:
-    out: set = set()
-    for st in state.strands:
-        for it in st.items:
-            for t in item_terms(it):
-                out |= variables(t)
-    for f in state.facts:
-        out |= variables(f.payload)
-    for (l, r) in state.diseqs:
-        out |= variables(l) | variables(r)
-    return out
 
 
 def _skeleton_key(t: Term):

@@ -6,21 +6,24 @@ sends either pass silently or mark the point where the intruder learned a
 message, and composition points pair a finished parent with a just-started
 child, either an existing strand or a newly introduced one.
 
-Three rule sets share this machinery: `basic` (messages only), `abstract`
+There are three rule sets: `basic` (messages only), `abstract`
 (parameter-list handover driven by the composition relation) and `sync`
-(explicit synchronization points).  The `trans`/`trans_inv` pair converts
-states between the latter two views.
+(explicit synchronization points).  The last two share one set of
+composition rules; they differ only in the interface item they hand over
+through, their rule names (`_COMPOSE`), which parent may hand over to which
+child under which modes (`_handover`) and which parents a new-parent rule
+tries (`_parent_roles`).  The `trans`/`trans_inv` pair converts states
+between the two views, through `model.sync_point`.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .model import (
     KNOWN,
     MODE_ONE_MANY,
-    MODE_ONE_ONE,
     TO_LEARN,
     IntruderFact,
     Minter,
@@ -30,10 +33,11 @@ from .model import (
     StrandSchema,
     SymbolicState,
     SyncPoint,
-    UnknownComposition,
     apply_subst_state,
     instantiate,
+    parents_of,
     state_key,
+    sync_point,
 )
 from .terms import App, FRESH, IDENTITY, MSG, Signature, Subst, Term, \
     _apply, is_ground, term_key, term_size
@@ -57,15 +61,6 @@ class RuntimeSpec:
     theory: EquationalTheory
     schemas: dict  # role -> StrandSchema
     triples: list = field(default_factory=list)
-
-    def children_of(self, parent: str) -> list:
-        return [c for (a, c, m) in self.triples if a == parent]
-
-    def parents_of(self, child: str) -> list:
-        return [a for (a, c, m) in self.triples if c == child]
-
-    def modes_with(self, parent: str, child: str) -> list:
-        return [m for (a, c, m) in self.triples if a == parent and c == child]
 
 
 @dataclass(frozen=True)
@@ -268,15 +263,10 @@ def backward_successors(state: SymbolicState, spec: RuntimeSpec, mode: str,
 
     # composition rules, driven from a child whose bar sits right after
     # its input interface
-    if mode in (ABSTRACT, SYNC) and not (in_order and uses is not None):
+    if mode in _COMPOSE and not (in_order and uses is not None):
         for ci, c in enumerate(state.strands):
-            if c.bar != 1 or focus not in (None, ci):
-                continue
-            head = c.items[0]
-            if mode == SYNC and isinstance(head, SyncPoint) and head.direction == "in":
-                _sync_rules(state, spec, ci, c, head, emit, unifiers, minter)
-            if mode == ABSTRACT and isinstance(head, ParamList) and head.direction == "in":
-                _abstract_rules(state, spec, ci, c, head, emit, unifiers, minter)
+            if c.bar == 1 and focus in (None, ci):
+                _compose_rules(state, spec, mode, ci, emit, unifiers, minter)
 
     if focus is not None:
         return steps
@@ -352,65 +342,92 @@ def _atom_splits(msg: Term, demands: list, fact: Term,
     return out
 
 
-def _sync_rules(state, spec, ci, c, head, emit, unifiers, minter):
+# ----------------------------------------------------------- composition
+
+class _Rules(NamedTuple):
+    """The interface item class a composition mode hands over through, and
+    the names of its three rules."""
+
+    kind: type
+    compose: str
+    one_many: str
+    new_parent: str
+
+
+_COMPOSE = {
+    SYNC: _Rules(SyncPoint, "sync_compose", "sync_1many", "sync_new_parent"),
+    ABSTRACT: _Rules(ParamList, "compose_11", "compose_1many",
+                     "compose_new_parent"),
+}
+
+
+def _interface(mode: str, item, direction: str) -> bool:
+    """Whether `item` is an interface of `direction` that `mode` composes
+    through."""
+    rules = _COMPOSE.get(mode)
+    return rules is not None and isinstance(item, rules.kind) and \
+        item.direction == direction
+
+
+def _handover(spec: RuntimeSpec, mode: str, parent_role: str, out_item,
+              child_role: str, in_item) -> tuple:
+    """The modes under which a `parent_role` strand ending in `out_item`
+    may hand over to a `child_role` strand starting with `in_item`; empty
+    when it may not.  The sync rules read the synchronization points' own
+    roles and mode, the abstract rules the composition relation."""
+    if not (_interface(mode, out_item, "out")
+            and _interface(mode, in_item, "in")):
+        return ()
+    if mode == ABSTRACT:
+        return tuple(m for (a, c, m) in spec.triples
+                     if a == parent_role and c == child_role)
+    if parent_role in in_item.parents and child_role in out_item.children \
+            and out_item.mode == in_item.mode:
+        return (in_item.mode,)
+    return ()
+
+
+def _parent_roles(spec: RuntimeSpec, mode: str, child_role: str,
+                  in_item) -> tuple:
+    """The roles that may hand over to a `child_role` strand starting with
+    `in_item`, in the order the new-parent rule introduces them, which
+    fixes the fresh values it mints."""
+    if not _interface(mode, in_item, "in"):
+        return ()
+    if mode == ABSTRACT:
+        return tuple(sorted(parents_of(spec.triples, child_role)))
+    return in_item.parents
+
+
+def _compose_rules(state, spec, mode, ci, emit, unifiers, minter):
+    """Undo a handover to strand `ci`, whose bar sits right after its
+    input interface: from a parent in the state that hands over once
+    (its bar goes back) or to many (it stays), or from a new parent."""
+    rules = _COMPOSE[mode]
+    c = state.strands[ci]
+    head = c.items[0]
     for pi, p in enumerate(state.strands):
         if pi == ci or not p.items:
             continue
         last = p.items[-1]
-        if not (isinstance(last, SyncPoint) and last.direction == "out"):
-            continue
-        if p.role not in head.parents or c.role not in last.children \
-                or last.mode != head.mode:
-            continue
-        if p.bar == len(p.items):
-            for sg in unifiers(_tup(last.payload), _tup(head.payload)):
-                emit("sync_compose", sg,
-                     _with_bars(state, {pi: len(p.items) - 1, ci: 0}))
-        if head.mode == MODE_ONE_MANY and p.bar == len(p.items) - 1:
-            for sg in unifiers(_tup(last.payload), _tup(head.payload)):
-                emit("sync_1many", sg, _with_bars(state, {ci: 0}))
-    for a in head.parents:
-        schema = spec.schemas.get(a)
-        if schema is None:
-            continue
-        out = schema.items[-1] if schema.items else None
-        if not (isinstance(out, SyncPoint) and out.direction == "out"
-                and c.role in out.children and out.mode == head.mode):
-            continue
-        inst = instantiate(schema, minter, bar=len(schema.items) - 1)
-        for sg in unifiers(_tup(inst.items[-1].payload), _tup(head.payload)):
-            emit(f"sync_new_parent:{a}", sg,
-                 _with_bars(_add_strand(state, inst),
-                            {ci: 0}))
-
-
-def _abstract_rules(state, spec, ci, c, head, emit, unifiers, minter):
-    for pi, p in enumerate(state.strands):
-        if pi == ci or not p.items:
-            continue
-        last = p.items[-1]
-        if not (isinstance(last, ParamList) and last.direction == "out"):
-            continue
-        modes = spec.modes_with(p.role, c.role)
+        modes = _handover(spec, mode, p.role, last, c.role, head)
         if not modes:
             continue
         if p.bar == len(p.items):
             for sg in unifiers(_tup(last.payload), _tup(head.payload)):
-                emit("compose_11", sg,
+                emit(rules.compose, sg,
                      _with_bars(state, {pi: len(p.items) - 1, ci: 0}))
         if MODE_ONE_MANY in modes and p.bar == len(p.items) - 1:
             for sg in unifiers(_tup(last.payload), _tup(head.payload)):
-                emit("compose_1many", sg, _with_bars(state, {ci: 0}))
-    for a in sorted(spec.parents_of(c.role)):
+                emit(rules.one_many, sg, _with_bars(state, {ci: 0}))
+    for a in _parent_roles(spec, mode, c.role, head):
         schema = spec.schemas.get(a)
-        if schema is None:
-            continue
-        out = schema.items[-1] if schema.items else None
-        if not (isinstance(out, ParamList) and out.direction == "out"):
+        if schema is None or not schema.items or \
+                not _handover(spec, mode, a, schema.items[-1], c.role, head):
             continue
         inst = instantiate(schema, minter, bar=len(schema.items) - 1)
         for sg in unifiers(_tup(inst.items[-1].payload), _tup(head.payload)):
-            emit(f"compose_new_parent:{a}", sg,
+            emit(f"{rules.new_parent}:{a}", sg,
                  _with_bars(_add_strand(state, inst), {ci: 0}))
 
 
@@ -466,9 +483,8 @@ def forward_step(state: SymbolicState, spec: RuntimeSpec, mode: str,
     # some schema's positive message produces it from already-known parts
     if wanted("intro_strand"):
         out.extend(_forward_intro(state, spec))
-    if mode in (ABSTRACT, SYNC) and wanted(
-            "sync_compose", "sync_1many", "sync_new_parent",
-            "compose_11", "compose_1many", "compose_new_parent"):
+    named = _COMPOSE.get(mode)
+    if named and wanted(named.compose, named.one_many, named.new_parent):
         out.extend(_forward_compose(state, spec, mode))
     return out
 
@@ -528,54 +544,35 @@ def _demands_met(demands: list, known: list, th: EquationalTheory, leq) -> bool:
 
 def _forward_compose(state: SymbolicState, spec: RuntimeSpec, mode: str) -> list:
     th = spec.theory
+    rules = _COMPOSE[mode]
     out: list = []
     for ci, c in enumerate(state.strands):
         if c.bar != 0 or not c.items:
             continue
         head = c.items[0]
-        if mode == SYNC and not (isinstance(head, SyncPoint)
-                                 and head.direction == "in"):
-            continue
-        if mode == ABSTRACT and not (isinstance(head, ParamList)
-                                     and head.direction == "in"):
-            continue
         for pi, p in enumerate(state.strands):
-            if pi == ci or not p.items:
+            if pi == ci or not p.items or p.bar != len(p.items) - 1:
                 continue
             last = p.items[-1]
-            if p.bar != len(p.items) - 1:
-                continue
-            if mode == SYNC:
-                if not (isinstance(last, SyncPoint) and last.direction == "out"
-                        and p.role in head.parents and c.role in last.children
-                        and last.mode == head.mode):
-                    continue
-                modes = [head.mode]
-            else:
-                if not (isinstance(last, ParamList) and last.direction == "out"):
-                    continue
-                modes = spec.modes_with(p.role, c.role)
-                if not modes:
-                    continue
-            if not _payloads_equal(last.payload, head.payload, th):
+            modes = _handover(spec, mode, p.role, last, c.role, head)
+            if not modes or not _payloads_equal(last.payload, head.payload, th):
                 continue
             strands = list(state.strands)
             strands[ci] = strands[ci].with_bar(1)
             strands[pi] = strands[pi].with_bar(len(p.items))
-            rule = "sync_compose" if mode == SYNC else "compose_11"
-            out.append(ForwardStep(rule, replace(state, strands=tuple(strands))))
+            out.append(ForwardStep(rules.compose,
+                                   replace(state, strands=tuple(strands))))
             if MODE_ONE_MANY in modes:
                 strands = list(state.strands)
                 strands[ci] = strands[ci].with_bar(1)
-                rule = "sync_1many" if mode == SYNC else "compose_1many"
-                out.append(ForwardStep(rule, replace(state, strands=tuple(strands))))
+                out.append(ForwardStep(rules.one_many,
+                                       replace(state, strands=tuple(strands))))
             # the generated new-parent rule, run forwards: the parent is
             # consumed by the handover
             strands = [st for sj, st in enumerate(state.strands) if sj != pi]
             cj = ci if ci < pi else ci - 1
             strands[cj] = c.with_bar(1)
-            prefix = "sync_new_parent" if mode == SYNC else "compose_new_parent"
-            out.append(ForwardStep(f"{prefix}:{p.role}",
+            out.append(ForwardStep(f"{rules.new_parent}:{p.role}",
                                    replace(state, strands=tuple(strands))))
     return out
 
@@ -588,24 +585,9 @@ def _payloads_equal(p1: tuple, p2: tuple, th: EquationalTheory) -> bool:
 
 def trans(state: SymbolicState, spec: RuntimeSpec) -> SymbolicState:
     """Abstract view to synchronization view; bar positions are kept."""
-
-    def conv(role, item):
-        if not isinstance(item, ParamList):
-            return item
-        if item.direction == "out":
-            children = spec.children_of(role)
-            if not children:
-                raise UnknownComposition(f"{role} is not a parent of anything")
-            mode = _uniform_mode(spec, role)
-            return SyncPoint("out", (role,), tuple(children), mode, item.payload)
-        parents = spec.parents_of(role)
-        if not parents:
-            raise UnknownComposition(f"{role} is not a child of anything")
-        mode = _uniform_mode(spec, role)
-        return SyncPoint("in", tuple(parents), (role,), mode, item.payload)
-
     strands = tuple(
-        replace(s, items=tuple(conv(s.role, it) for it in s.items))
+        replace(s, items=tuple(sync_point(s.role, it, spec.triples)
+                               for it in s.items))
         for s in state.strands)
     return replace(state, strands=strands)
 
@@ -638,10 +620,3 @@ def runtime_spec(doc, mode: str) -> RuntimeSpec:
         merged = merge_protocols(doc, "+".join(p.name for p in doc.protocols))
     return RuntimeSpec(merged.name, merged.signature, merged.theory,
                        dict(merged.schemas), list(doc.triples))
-
-
-def _uniform_mode(spec: RuntimeSpec, role: str) -> str:
-    modes = {m for (a, c, m) in spec.triples if a == role or c == role}
-    if len(modes) != 1:
-        raise UnknownComposition(f"{role} has no single composition mode")
-    return modes.pop()

@@ -11,7 +11,6 @@ the same object and a substitution shares every subterm it leaves alone.
 """
 from __future__ import annotations
 
-import itertools
 import weakref
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence, Union
@@ -433,31 +432,6 @@ def _apply(m: Mapping, t):
     if isinstance(t, tuple):
         return tuple(_apply(m, a) for a in t)
     return t
-
-
-_rename_counter = itertools.count(1)
-
-
-def rename_apart(obj, reserved) -> tuple:
-    """Rename the variables of obj away from the reserved variable set.
-
-    Returns (renamed_obj, renaming).  The renaming is injective on the
-    object's variables and its new names collide neither with reserved
-    names nor with the object's own.
-    """
-    own = variables(obj)
-    reserved_names = {v.name for v in reserved} | {v.name for v in own}
-    ren = {}
-    for v in sorted(own, key=term_key):
-        if any(r.name == v.name for r in reserved):
-            while True:
-                cand = f"{v.name}#{next(_rename_counter)}"
-                if cand not in reserved_names:
-                    break
-            reserved_names.add(cand)
-            ren[v] = Var(cand, v.sort)
-    s = Subst(ren, _trusted=True)
-    return s(obj), s
 
 
 def rename_all(obj, suffix: str):

@@ -135,6 +135,18 @@ def test_analyze_unknown_attack_is_usage_error(tiny, capsys):
     assert rc == 1
 
 
+def test_analyze_rejects_mode_mixing_in_sync(tmp_path, capsys):
+    # NSL.init hands over one-to-one to DB.resp and one-to-many to DB.init
+    src = (SPECS / "nsl_db.strand").read_text().replace(
+        "(NSL.resp, DB.init, 1-1)", "(NSL.init, DB.init, 1-*)")
+    mixed = tmp_path / "mixed.strand"
+    mixed.write_text(src)
+    rc = main(["analyze", str(mixed), "--attack", "a1", "--mode", "sync",
+               "--max-depth", "1"])
+    assert rc == 1
+    assert "NSL.init has no single composition mode" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------- transform
 
 @pytest.mark.parametrize("which", ["synch", "phi"])

@@ -18,6 +18,7 @@ from strandkit.model import (
     ParamList,
     SignedMessage,
     SyncPoint,
+    UnknownComposition,
 )
 from strandkit.terms import App, Var, variables
 
@@ -114,6 +115,10 @@ def test_validate_flags_mode_mixing(nsl_db):
     doc.triples = [("NSL.init", "DB.resp", "1-1"), ("NSL.init", "DB.init", "1-*")]
     diags = validate_composition(doc)
     assert any(d.code == "E027" for d in diags)
+    # the transforms refuse to pick one of the two modes
+    for transform in (synch_transform, phi_transform):
+        with pytest.raises(UnknownComposition, match="single composition mode"):
+            transform(doc)
 
 
 def test_synch_transform_builds_sync_points(nsl_db):

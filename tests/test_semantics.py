@@ -1,5 +1,7 @@
 """Backward and forward transition rules, and the view translation."""
+import dataclasses
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -14,6 +16,7 @@ from strandkit.model import (
     StrandInstance,
     SymbolicState,
     SyncPoint,
+    instantiate,
     is_initial,
     state_key,
 )
@@ -41,6 +44,11 @@ def load(name):
 @pytest.fixture(scope="module")
 def nsl_db():
     return load("nsl_db.strand")
+
+
+@pytest.fixture(scope="module")
+def nsl_kd():
+    return load("nsl_kd.strand")
 
 
 def mk(sig, op, *args):
@@ -132,6 +140,13 @@ def test_backward_sync_compose_with_existing_parent(nsl_db):
     pred = comp[0].predecessor
     bars = sorted(s.bar for s in pred.strands)
     assert bars == [0, len(parent_schema.items) - 1]
+    # a parent whose synchronization point leaves the child out hands
+    # nothing over, though the composition relation relates the two
+    assert ("NSL.init", "DB.resp", "1-1") in spec.triples
+    out = dataclasses.replace(p.items[-1], children=())
+    cut = dataclasses.replace(p, items=p.items[:-1] + (out,))
+    steps = backward_successors(SymbolicState((cut, c)), spec, SYNC, minter)
+    assert not any(s.rule == "sync_compose" for s in steps)
 
 
 def test_backward_sync_new_parent(nsl_db):
@@ -167,23 +182,40 @@ def test_backward_no_sync_1many_for_one_to_one(nsl_db):
     assert not any(s.rule == "sync_1many" for s in steps)
 
 
-def test_backward_abstract_mirrors_sync(nsl_db):
-    sync_spec = runtime_spec(nsl_db, SYNC)
-    abs_spec = runtime_spec(nsl_db, ABSTRACT)
+@pytest.mark.parametrize("parent", ["none", "finished", "waiting"])
+@pytest.mark.parametrize("name,child", [
+    ("nsl_db", "DB.resp"), ("nsl_db", "DB.init"),
+    ("nsl_kd", "KD.init"), ("nsl_kd", "KD.resp")])
+def test_backward_abstract_mirrors_sync(request, name, child, parent):
+    doc = request.getfixturevalue(name)
+    sync_spec = runtime_spec(doc, SYNC)
+    abs_spec = runtime_spec(doc, ABSTRACT)
     minter = Minter()
-    from strandkit.model import instantiate
-
-    c_sync = instantiate(sync_spec.schemas["DB.init"], Minter(), bar=1)
-    st_sync = SymbolicState((c_sync,))
+    strands = [instantiate(sync_spec.schemas[child], minter, bar=1)]
+    if parent != "none":
+        for role in sorted({a for (a, c, m) in doc.triples if c == child}):
+            n = len(sync_spec.schemas[role].items)
+            strands.append(instantiate(sync_spec.schemas[role], minter,
+                                       bar=n if parent == "finished" else n - 1))
+    st_sync = SymbolicState(tuple(strands))
     st_abs = trans_inv(st_sync, sync_spec)
     sync_steps = backward_successors(st_sync, sync_spec, SYNC, Minter())
     abs_steps = backward_successors(st_abs, abs_spec, ABSTRACT, Minter())
-    sync_kinds = sorted(s.rule.split(":")[0] for s in sync_steps
-                        if s.rule.startswith("sync"))
-    abs_kinds = sorted(s.rule.split(":")[0] for s in abs_steps
-                       if s.rule.startswith("compose"))
-    assert ("sync_new_parent" in sync_kinds) == ("compose_new_parent" in abs_kinds)
-    assert len(sync_kinds) == len(abs_kinds)
+    abstract_name = {"sync_compose": "compose_11",
+                     "sync_1many": "compose_1many",
+                     "sync_new_parent": "compose_new_parent"}
+
+    def as_abstract(rule):
+        base, colon, role = rule.partition(":")
+        return abstract_name.get(base, base) + colon + role
+
+    # every predecessor, rule and state alike, seen through the abstract view
+    got = Counter((as_abstract(s.rule),
+                   state_key(trans_inv(s.predecessor, sync_spec)))
+                  for s in sync_steps)
+    assert got == Counter((s.rule, state_key(s.predecessor))
+                          for s in abs_steps)
+    assert any(s.rule.startswith("compose_new_parent") for s in abs_steps)
 
 
 def test_trans_roundtrip_on_attack_state(nsl_db):
@@ -228,28 +260,33 @@ def test_forward_send_learn_flips_fact(nsl_db):
 
 
 def test_forward_sync_compose_advances_both(nsl_db):
-    spec = runtime_spec(nsl_db, SYNC)
-    minter = Minter()
-    from strandkit.model import instantiate, map_item
+    from strandkit.model import map_item
     from strandkit.terms import Subst
 
-    parent_schema = spec.schemas["NSL.init"]
-    child_schema = spec.schemas["DB.resp"]
-    p = instantiate(parent_schema, minter, bar=len(parent_schema.items) - 1)
-    payload = p.items[-1].payload
-    c0 = instantiate(child_schema, minter, bar=0)
-    binding = Subst(dict(zip(list(c0.items[0].payload), payload)))
-    c = StrandInstance(c0.role,
-                       tuple(map_item(it, binding) for it in c0.items), 0,
-                       c0.fresh_ids)
-    st = SymbolicState((p, c))
-    succs = forward_step(st, spec, SYNC)
-    comp = [r for r in succs if r.rule == "sync_compose"]
-    assert comp
-    bars = sorted(s.bar for s in comp[0].successor.strands)
-    assert bars == [1, len(parent_schema.items)]
-    newp = [r for r in succs if r.rule.startswith("sync_new_parent")]
-    assert newp and len(newp[0].successor.strands) == 1
+    for mode, compose, new_parent in (
+            (SYNC, "sync_compose", "sync_new_parent"),
+            (ABSTRACT, "compose_11", "compose_new_parent")):
+        spec = runtime_spec(nsl_db, mode)
+        minter = Minter()
+        parent_schema = spec.schemas["NSL.init"]
+        child_schema = spec.schemas["DB.resp"]
+        p = instantiate(parent_schema, minter,
+                        bar=len(parent_schema.items) - 1)
+        payload = p.items[-1].payload
+        c0 = instantiate(child_schema, minter, bar=0)
+        binding = Subst(dict(zip(list(c0.items[0].payload), payload)))
+        c = StrandInstance(c0.role,
+                           tuple(map_item(it, binding) for it in c0.items), 0,
+                           c0.fresh_ids)
+        st = SymbolicState((p, c))
+        succs = forward_step(st, spec, mode)
+        comp = [r for r in succs if r.rule == compose]
+        assert comp, mode
+        bars = sorted(s.bar for s in comp[0].successor.strands)
+        assert bars == [1, len(parent_schema.items)]
+        newp = [r for r in succs if r.rule.startswith(new_parent)]
+        assert newp and len(newp[0].successor.strands) == 1
+        assert not any(r.rule.endswith("1many") for r in succs)
 
 
 def test_backward_then_forward_roundtrip(nsl_db):

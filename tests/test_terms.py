@@ -13,11 +13,9 @@ from strandkit.terms import (
     const,
     least_sort,
     positions,
-    rename_apart,
     replace_at,
     subterm_at,
     term_key,
-    variables,
 )
 
 
@@ -135,15 +133,6 @@ def test_fresh_constants_never_substituted():
     f = FreshConst(7)
     s = Subst({Var("X"): const("c")})
     assert s(f) == f
-
-
-def test_rename_apart_shares_no_reserved_variable():
-    t = App("f", (Var("X"), Var("Y"), Var("Z")))
-    reserved = {Var("X"), Var("Y")}
-    t2, ren = rename_apart(t, reserved)
-    assert not (variables(t2) & reserved)
-    # injective on renamed variables
-    assert len(variables(t2)) == 3
 
 
 def test_term_key_total_order():
