@@ -29,7 +29,6 @@ from .oracle import (
 )
 from .search import (
     ATTACK_FOUND,
-    INCONCLUSIVE,
     SECURE_FINITE,
     SearchBudget,
     bisimulation_report,

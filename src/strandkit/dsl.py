@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from typing import Iterable, List, Optional, Tuple
+from typing import Optional
 
 from .model import (
-    MODE_ONE_MANY,
     MODE_ONE_ONE,
     IntruderFact,
     KNOWN,
@@ -45,7 +44,6 @@ from .terms import (
     Var,
     const,
     fresh_constants,
-    term_key,
     variables,
 )
 from .theory import AxiomDecl, EquationalTheory, IrregularRule, normalize
@@ -156,12 +154,6 @@ class Document:
     triples: list  # (parent role, child role, mode)
     attacks: dict  # name -> AttackDef
     diagnostics: list = field(default_factory=list)
-
-
-@dataclass
-class ComposedSpec:
-    parts: list  # ProtocolSpec
-    triples: list
 
 
 def builtin_signature() -> Signature:
@@ -810,7 +802,8 @@ def synch_transform(doc: Document) -> ProtocolSpec:
 
     A parent's output names every child role it may hand over to; a
     child's input names every possible parent.  Modes come from the
-    composition relation, which must be mode-uniform per role.
+    composition relation, which must give each role one mode as parent
+    and one as child.
     """
     merged = merge_protocols(doc, "_".join(p.name for p in doc.protocols) + "_sync")
     schemas: dict = {}
@@ -864,7 +857,7 @@ def phi_transform(doc: Document) -> ProtocolSpec:
             if not parents:
                 raise UnknownComposition(f"{role} has no parent in the "
                                          "composition relation")
-            mode = uniform_mode(doc.triples, role)
+            mode = uniform_mode(doc.triples, role, "in")
             if mode == MODE_ONE_ONE:
                 if len(parents) != 1:
                     raise UnknownComposition(
@@ -889,7 +882,7 @@ def phi_transform(doc: Document) -> ProtocolSpec:
             if not children:
                 raise UnknownComposition(f"{role} has no child in the "
                                          "composition relation")
-            mode = uniform_mode(doc.triples, role)
+            mode = uniform_mode(doc.triples, role, "out")
             if mode == MODE_ONE_ONE:
                 # the child mints the identifier; the parent receives it
                 if len(children) != 1:

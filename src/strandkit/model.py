@@ -9,20 +9,18 @@ disequality constraints.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Optional, Sequence, Union
+from dataclasses import dataclass, replace
+from typing import Callable, Optional, Union
 
 from .terms import (
-    App,
     FreshConst,
     Subst,
     Term,
     Var,
-    least_sort,
     term_key,
     variables,
 )
-from .theory import EquationalTheory, canon, eq_modulo, normalize
+from .theory import EquationalTheory, normalize
 
 
 class MalformedStrand(Exception):
@@ -100,9 +98,12 @@ def children_of(triples: list, role: str) -> list:
     return [c for (a, c, m) in triples if a == role]
 
 
-def uniform_mode(triples: list, role: str) -> str:
-    """The one mode `role` is composed under, as parent or child."""
-    modes = {m for (a, c, m) in triples if role in (a, c)}
+def uniform_mode(triples: list, role: str, direction: str) -> str:
+    """The one mode of `role`'s handovers in `direction`: an input's ("in")
+    comes from the triples naming the role as child, an output's ("out")
+    from those naming it as parent."""
+    side = 0 if direction == "out" else 1
+    modes = {tr[2] for tr in triples if tr[side] == role}
     if len(modes) != 1:
         raise UnknownComposition(f"{role} has no single composition mode")
     return modes.pop()
@@ -125,7 +126,8 @@ def sync_point(role: str, item: Item, triples: list) -> Item:
             raise UnknownComposition(f"{role} has no parent in the "
                                      "composition relation")
     return SyncPoint(item.direction, parents, children,
-                     uniform_mode(triples, role), item.payload)
+                     uniform_mode(triples, role, item.direction),
+                     item.payload)
 
 
 def item_terms(item: Item) -> tuple:

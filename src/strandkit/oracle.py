@@ -10,8 +10,7 @@ strands and facts).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
-from functools import partial
+from dataclasses import dataclass, replace
 
 from .dsl import parse_term
 from .model import (
@@ -32,7 +31,7 @@ from .model import (
 from .search import _state_instance_of
 from .terms import Subst, term_key, variables
 from .theory import eq_modulo, normalize
-from .unify import match_extensions
+from .unify import match_modulo
 
 
 class ScenarioError(Exception):
@@ -283,7 +282,7 @@ def instantiates_pattern(state: SymbolicState, pattern: SymbolicState,
     fresh values and disequalities must hold.  Extra strands and facts in
     the state are allowed (see `search._state_instance_of`).
     """
-    th = spec.theory
-    modulo = partial(match_extensions, th=th, leq=spec.signature.leq)
-    return _state_instance_of(state, pattern, th, modulo,
+    th, leq = spec.theory, spec.signature.leq
+    return _state_instance_of(state, pattern, th,
+                              lambda p, t, b: match_modulo(p, t, th, leq, b),
                               extra_strands=True, extra_facts=True)

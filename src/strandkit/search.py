@@ -14,7 +14,6 @@ import itertools
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Optional
 
 from .model import (
@@ -25,7 +24,6 @@ from .model import (
     SymbolicState,
     SyncPoint,
     instantiate,
-    is_initial,
     item_terms,
     state_key,
 )
@@ -41,7 +39,7 @@ from .terms import FRESH, FreshConst, Var, _apply, fresh_constants, \
     is_ground, term_key, term_size, variables
 from .theory import canon, match_ax, normalize
 from .theory import memo_entries as theory_memo_entries
-from .unify import match_extensions
+from .unify import match_modulo
 from .unify import memo_entries as unify_memo_entries
 
 # how many earlier states per structural bucket the subsumption check
@@ -505,8 +503,10 @@ def trace_replay(result: SearchResult, spec: RuntimeSpec, mode: str,
     """
     if not result.found or not result.trace:
         return False
-    th = spec.theory
-    modulo = partial(match_extensions, th=th, leq=spec.signature.leq)
+    th, leq = spec.theory, spec.signature.leq
+
+    def modulo(p, t, b):
+        return match_modulo(p, t, th, leq, b)
 
     def arrangement(state):
         return ([_layout(s) for s in state.strands],

@@ -30,7 +30,6 @@ from .model import (
     ParamList,
     SignedMessage,
     StrandInstance,
-    StrandSchema,
     SymbolicState,
     SyncPoint,
     apply_subst_state,

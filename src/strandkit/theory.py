@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import permutations
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .terms import (
     App,
@@ -17,7 +17,7 @@ from .terms import (
     Subst,
     Term,
     Var,
-    least_sort,
+    _apply,
     term_key,
     variables,
 )
@@ -66,8 +66,12 @@ class EquationalTheory:
                                compare=False)
     _variant_cache: dict = field(default_factory=dict, init=False,
                                  repr=False, compare=False)
+    _nilpotent: frozenset = field(default=frozenset(), init=False,
+                                  repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "_nilpotent", frozenset(
+            op for op, decl in self.axioms if decl.nilpotent))
         for lhs, rhs in self.rules:
             if isinstance(lhs, Var):
                 raise IrregularRule(f"rule left side is a variable: {lhs!r}")
@@ -117,11 +121,10 @@ class EquationalTheory:
         return ax is not None and ax.assoc and ax.comm
 
     def is_nilpotent(self, op: str) -> bool:
-        ax = self.axiom(op)
-        return ax is not None and ax.nilpotent
+        return op in self._nilpotent
 
-    def nilpotent_ops(self) -> list:
-        return [name for name, decl in self.axioms if decl.nilpotent]
+    def nilpotent_ops(self) -> frozenset:
+        return self._nilpotent
 
     def is_free(self) -> bool:
         return not self.rules and not self.axioms
@@ -180,13 +183,7 @@ def _canon_app(t: App, th: EquationalTheory) -> Term:
             unit_key = term_key(ax.unit)
             flat = [a for a in flat if term_key(a) != unit_key]
         if ax.nilpotent:
-            counted: dict = {}
-            for a in flat:
-                counted.setdefault(term_key(a), [0, a])[0] += 1
-            flat = []
-            for key in sorted(counted):
-                n, a = counted[key]
-                flat.extend([a] * (n % 2))
+            flat = sym_diff(flat)
         flat.sort(key=term_key)
         if not flat:
             if ax.unit is None:
@@ -198,6 +195,19 @@ def _canon_app(t: App, th: EquationalTheory) -> Term:
     if ax.comm:
         args = tuple(sorted(args, key=term_key))
     return App(t.op, args, t.sort)
+
+
+def sym_diff(atoms: list) -> list:
+    """The atoms that occur an odd number of times, in term order: what a
+    sum of them leaves under a nilpotent operator."""
+    counted: dict = {}
+    for t in atoms:
+        counted.setdefault(term_key(t), [0, t])[0] += 1
+    out = []
+    for key in sorted(counted):
+        n, t = counted[key]
+        out.extend([t] * (n % 2))
+    return out
 
 
 def ac_atoms(t: Term, op: str, th: EquationalTheory) -> list:
@@ -227,11 +237,13 @@ def match_ax(pattern: Term, subject: Term, th: EquationalTheory,
     """Match pattern against subject modulo the structural axioms.
 
     Yields extensions of the given binding (dicts from Var to Term).  Both
-    sides are assumed canonical.  AC matching is complete only for small
-    argument lists: non-variable pattern arguments are matched injectively
-    and at most one trailing pattern variable absorbs the leftovers, which
-    covers every rule shape used here.  With a subsort test `leq`, a
-    variable binds only a subject whose sort is below its own.
+    sides must be canonical, and the pattern's variables apart from the
+    subject's.  AC matching is complete only for small argument lists:
+    non-variable pattern arguments are matched injectively and at most one
+    pattern variable absorbs the leftovers, which covers every rule shape
+    used here.  Sums under a nilpotent operator are matched last in an
+    argument list, then by `_match_nilpotent`.  With a subsort test `leq`,
+    a variable binds only a subject whose sort is below its own.
     """
     if binding is None:
         binding = {}
@@ -247,6 +259,10 @@ def match_ax(pattern: Term, subject: Term, th: EquationalTheory,
         if pattern == subject:
             yield binding
         return
+    nil = th._nilpotent
+    if pattern.op in nil:
+        yield from _match_nilpotent(pattern, subject, th, binding, leq)
+        return
     if not isinstance(subject, App) or subject.op != pattern.op:
         return
     ax = th.axiom(pattern.op)
@@ -256,11 +272,37 @@ def match_ax(pattern: Term, subject: Term, th: EquationalTheory,
         return
     if len(pattern.args) != len(subject.args):
         return
-    orders = [subject.args]
+    pats, orders = pattern.args, [subject.args]
     if ax is not None and ax.comm and len(subject.args) == 2:
         orders = [subject.args, subject.args[::-1]]
+    if nil:  # sums last, so that their variables are bound by then
+        last = [isinstance(p, App) and p.op in nil for p in pats]
+        if any(last):
+            idx = sorted(range(len(pats)), key=last.__getitem__)
+            pats = [pats[i] for i in idx]
+            orders = [[o[i] for i in idx] for o in orders]
     for order in orders:
-        yield from _match_seq(pattern.args, order, th, binding, leq)
+        yield from _match_seq(pats, order, th, binding, leq)
+
+
+def _match_nilpotent(pattern: App, subject: Term, th: EquationalTheory,
+                     binding: dict, leq) -> Iterator[dict]:
+    """Match a sum under a nilpotent operator.  The pattern arguments whose
+    variables the binding fixes are added to the subject, which cancels
+    them; a single leftover variable binds to the sum that remains, and
+    other leftovers are matched against its atoms as under plain AC."""
+    fixed, free = [], []
+    for a in pattern.args:
+        (fixed if variables(a) <= binding.keys() else free).append(a)
+    rest = subject
+    if fixed:
+        rest = _canon_app(App(pattern.op, (subject,) + tuple(
+            _apply(binding, a) for a in fixed), pattern.sort), th)
+    if len(free) == 1 and isinstance(free[0], Var):
+        yield from match_ax(free[0], rest, th, binding, leq)
+        return
+    yield from _match_ac(free, ac_atoms(rest, pattern.op, th), pattern.op,
+                         pattern.sort, th, binding, leq)
 
 
 def _match_seq(pats, subjs, th, binding, leq) -> Iterator[dict]:

@@ -6,12 +6,15 @@ the oriented rules to a bounded depth, once per theory and up to renaming
 axioms, together with the images of the variables the sides share.
 Exclusive-or subproblems go to a dedicated nilpotent-AC solver.  Every
 candidate is verified by substitute, normalize and compare before it is
-reported, so soundness never depends on the solver internals.
+reported, so soundness never depends on the solver internals.  Matching
+modulo the theory (`match_modulo`) runs `theory.match_ax` on the variants
+of the pattern alone.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Optional
 
 from .terms import (
     App,
@@ -34,7 +37,9 @@ from .theory import (
     ac_combine,
     canon,
     eq_modulo,
+    match_ax,
     normalize,
+    sym_diff,
 )
 
 VARIANT_DEPTH = 5
@@ -118,15 +123,11 @@ def _solve(eqns: list, subst: dict, th: EquationalTheory, budget: _Budget,
     # Variable cases
     for x, y in ((a, b), (b, a)):
         if isinstance(x, Var):
-            if isinstance(y, Var):
-                if leq(y.sort, x.sort):
-                    s2 = _bind(x, y, subst, th)
-                elif leq(x.sort, y.sort):
-                    s2 = _bind(y, x, subst, th)
-                else:
-                    s2 = None
-            elif leq(least_sort(y), x.sort):
+            # two variables bind toward the smaller sort
+            if leq(least_sort(y), x.sort):
                 s2 = _bind(x, y, subst, th)
+            elif isinstance(y, Var) and leq(x.sort, y.sort):
+                s2 = _bind(y, x, subst, th)
             else:
                 s2 = None
             if s2 is not None:
@@ -135,26 +136,24 @@ def _solve(eqns: list, subst: dict, th: EquationalTheory, budget: _Budget,
     if isinstance(a, FreshConst) or isinstance(b, FreshConst):
         return out  # unequal fresh constants (or constant vs application)
     # Both are applications.
-    nil_op = _xor_head(a, th) or _xor_head(b, th)
+    nil_op = a.op if th.is_nilpotent(a.op) else \
+        b.op if th.is_nilpotent(b.op) else None
     if nil_op is not None:
+        # each candidate is a list of (left, right) constraints; a Var on
+        # the left proposes a binding, anything else is a residual equation
+        atoms = sym_diff(ac_atoms(a, nil_op, th) + ac_atoms(b, nil_op, th))
         branches = []
-        for partial in _xor_solve(a, b, nil_op, th, budget, leq):
-            s2 = dict(subst)
-            ok = True
-            new_eqns = []
+        for partial in _solve_atoms(atoms, a.sort, nil_op, th, budget, leq):
+            s2, new_eqns = dict(subst), []
             for v, t in partial:
-                if isinstance(v, Var):
-                    if not leq(least_sort(t), v.sort):
-                        ok = False
-                        break
-                    s3 = _bind(v, t, s2, th)
-                    if s3 is None:
-                        ok = False
-                        break
-                    s2 = s3
-                else:
+                if not isinstance(v, Var):
                     new_eqns.append((v, t))
-            if ok:
+                    continue
+                s2 = _bind(v, t, s2, th) if leq(least_sort(t), v.sort) \
+                    else None
+                if s2 is None:
+                    break
+            else:
                 branches.append((s2, new_eqns))
         try_branches(branches)
         return out
@@ -165,9 +164,7 @@ def _solve(eqns: list, subst: dict, th: EquationalTheory, budget: _Budget,
         # Same AC operator without nilpotence: permutation branches.
         if len(a.args) != len(b.args):
             return out
-        from itertools import permutations
-
-        for perm in permutations(range(len(b.args))):
+        for perm in itertools.permutations(range(len(b.args))):
             if try_branches([(dict(subst),
                               [(a.args[i], b.args[perm[i]]) for i in range(len(a.args))])]):
                 break
@@ -187,35 +184,6 @@ def _default_leq(s1: str, s2: str) -> bool:
     return s1 == s2 or s2 == "Msg"
 
 
-def _xor_head(t: Term, th: EquationalTheory) -> Optional[str]:
-    if isinstance(t, App) and th.is_nilpotent(t.op):
-        return t.op
-    return None
-
-
-def _xor_solve(a: Term, b: Term, op: str, th: EquationalTheory,
-               budget: _Budget, leq) -> list:
-    """Candidate branch constraints for a =? b under a nilpotent AC op.
-
-    Each candidate is a list of (left, right) constraints; a Var on the
-    left means a proposed binding, anything else is a residual equation.
-    """
-    atoms = _sym_diff(ac_atoms(a, op, th) + ac_atoms(b, op, th))
-    return _solve_atoms(atoms, a.sort if isinstance(a, App) else b.sort, op, th,
-                        budget, leq)
-
-
-def _sym_diff(atoms: list) -> list:
-    counted: dict = {}
-    for t in atoms:
-        counted.setdefault(term_key(t), [0, t])[0] += 1
-    out = []
-    for key in sorted(counted):
-        n, t = counted[key]
-        out.extend([t] * (n % 2))
-    return out
-
-
 def _solve_atoms(atoms: list, sort: str, op: str, th: EquationalTheory,
                  budget: _Budget, leq) -> list:
     if not atoms:
@@ -229,9 +197,7 @@ def _solve_atoms(atoms: list, sort: str, op: str, th: EquationalTheory,
             if v not in variables(rhs) and leq(least_sort(rhs), v.sort):
                 return [[(v, rhs)]]
     # Otherwise alien atoms must cancel pairwise.
-    if len(atoms) % 2 == 1 or not atoms:
-        return []
-    if not budget.spend():
+    if len(atoms) % 2 == 1 or not budget.spend():
         return []
     out = []
     a0, tail = atoms[0], atoms[1:]
@@ -242,9 +208,8 @@ def _solve_atoms(atoms: list, sort: str, op: str, th: EquationalTheory,
             continue
         seen_partner.add(pk)
         for s in _solve([(a0, aj)], {}, th, budget, leq=leq):
-            remaining = [canon(_apply(s, t), th) for k, t in enumerate(tail) if k != j]
-            remaining = _sym_diff(
-                [x for t in remaining for x in ac_atoms(t, op, th)])
+            remaining = sym_diff([x for k, t in enumerate(tail) if k != j
+                                  for x in ac_atoms(_apply(s, t), op, th)])
             for rest_sol in _solve_atoms(remaining, sort, op, th, budget, leq):
                 out.append([(v, t) for v, t in s.items()] + rest_sol)
     return out
@@ -274,26 +239,25 @@ def _subst_key(s: Subst):
     return tuple(sorted((v.name, v.sort, term_key(t)) for v, t in s.items()))
 
 
-_variant_counter = [0]
-
-
 def variants(t: Term, th: EquationalTheory, depth: int = VARIANT_DEPTH) -> tuple:
     """Bounded folding variant narrowing: pairs (variant, substitution).
 
     Returns (variant_list, complete) where complete is False if the depth
     bound cut narrowing short.  This narrows afresh on every call;
     `side_variants` is the memoized entry point that unification uses.
+    The narrowing variables are numbered per call, so the variants of a
+    term do not depend on what ran before.
     """
     base_vars = variables(t)
     nf = normalize(t, th)
     seen = {(_pair_key(nf, IDENTITY, base_vars)): None}
     frontier = [(nf, IDENTITY)]
     out = [(nf, IDENTITY)]
-    complete = True
+    names = itertools.count(1)
     for _ in range(depth):
         new_frontier = []
         for (u, sigma) in frontier:
-            for (u2, sigma2) in _narrow_once(u, sigma, th, base_vars):
+            for (u2, sigma2) in _narrow_once(u, sigma, th, names):
                 key = _pair_key(u2, sigma2, base_vars)
                 if key in seen:
                     continue
@@ -303,10 +267,7 @@ def variants(t: Term, th: EquationalTheory, depth: int = VARIANT_DEPTH) -> tuple
         frontier = new_frontier
         if not frontier:
             break
-    else:
-        if frontier:
-            complete = False
-    return out, complete
+    return out, not frontier
 
 
 def _pair_key(u, sigma, base_vars):
@@ -327,7 +288,9 @@ def _pair_key(u, sigma, base_vars):
     return (ukey, skey)
 
 
-def _narrow_once(u: Term, sigma: Subst, th: EquationalTheory, base_vars):
+def _narrow_once(u: Term, sigma: Subst, th: EquationalTheory, names):
+    """One narrowing step at every position of u; `names` numbers the
+    renamed copies of the rules tried."""
     from .terms import positions, replace_at, subterm_at
 
     index = th.rule_index()
@@ -339,8 +302,7 @@ def _narrow_once(u: Term, sigma: Subst, th: EquationalTheory, base_vars):
             continue
         # u is normal, so sub is canonical: the other rules cannot unify
         for lhs, rhs, _, _ in index.get(sub.op, wild):
-            _variant_counter[0] += 1
-            suffix = f"v{_variant_counter[0]}"
+            suffix = f"v{next(names)}"
             ren = {v: Var(f"{v.name}%{suffix}", v.sort) for v in variables(lhs)}
             rs = Subst(ren, _trusted=True)
             lhs_r, rhs_r = rs(lhs), rs(rhs)
@@ -455,20 +417,27 @@ def unify_modulo(t1: Term, t2: Term, th: EquationalTheory,
     fresh constants, since backward search poses the same problems over
     and over with freshly renamed strand instances.
     """
+    return _memoized(_unify_modulo_raw, t1, t2, th, leq, variant_depth,
+                     branch_budget)
+
+
+def _memoized(raw, t1: Term, t2: Term, th: EquationalTheory, leq,
+              *args) -> UnifierSet:
+    """`raw(t1, t2, th, leq, *args)` memoized in th's unifier memo up to a
+    renaming of variables and fresh constants."""
     ren = _Renaming()
     c1, c2 = ren(t1), ren(t2)
     cache = th._unify_cache
-    cache_key = (c1, c2, variant_depth, branch_budget,
-                 getattr(leq, "__self__", leq))
+    cache_key = (raw, c1, c2, getattr(leq, "__self__", leq)) + args
     hit = cache.get(cache_key)
     if hit is None:
-        hit = _unify_modulo_raw(c1, c2, th, leq, variant_depth, branch_budget)
+        hit = raw(c1, c2, th, leq, *args)
         if len(cache) >= UNIFY_CACHE_CAP:
             cache.clear()
         cache[cache_key] = hit
     if not hit.unifiers:
         return hit
-    # unifiers bind only problem variables, which the renaming made
+    # the substitutions bind only variables the renaming made
     back = ren.back
     out = [Subst({back(v): back(u) for v, u in s.items()}, _trusted=True)
            for s in hit.unifiers]
@@ -528,39 +497,25 @@ def _deflate(s: Subst, problem_vars: set) -> Subst:
 
     A binding K -> W where W is an auxiliary variable names the same most
     general unifier as W -> K with K left untouched; the latter keeps the
-    problem variables visible.
+    problem variables visible.  A swap makes no other binding swappable,
+    so one pass in binding order does them all.
     """
     m = dict(s)
-    changed = True
-    while changed:
-        changed = False
-        for v in list(m):
-            t = m[v]
-            if isinstance(t, Var) and t not in problem_vars and t.sort == v.sort:
-                swap = Subst({t: v}, _trusted=True)
-                del m[v]
-                m = {k: swap(u) for k, u in m.items()}
-                changed = True
-                break
+    for v in list(m):
+        t = m[v]
+        if isinstance(t, Var) and t not in problem_vars and t.sort == v.sort:
+            del m[v]
+            m = {k: _apply({t: v}, u) for k, u in m.items()}
     return Subst(m)
 
 
 def _minimize(substs: list, problem_vars: set, th: EquationalTheory) -> list:
-    """Drop unifiers that are instances of another unifier in the set."""
-    keep = []
-    for i, s in enumerate(substs):
-        redundant = False
-        for j, g in enumerate(substs):
-            if i == j:
-                continue
-            if _is_instance_of(g, s, problem_vars, th):
-                if _is_instance_of(s, g, problem_vars, th) and j > i:
-                    continue  # equivalent pair: keep the first one
-                redundant = True
-                break
-        if not redundant:
-            keep.append(s)
-    return keep
+    """Drop unifiers that are instances of another unifier in the set; of
+    two equivalent unifiers the first one stays."""
+    return [s for i, s in enumerate(substs) if not any(
+        j != i and _is_instance_of(g, s, problem_vars, th) and not (
+            j > i and _is_instance_of(s, g, problem_vars, th))
+        for j, g in enumerate(substs))]
 
 
 def _is_instance_of(general: Subst, specific: Subst, problem_vars: set,
@@ -569,13 +524,18 @@ def _is_instance_of(general: Subst, specific: Subst, problem_vars: set,
     pvs = sorted(problem_vars, key=term_key)
     gen = App("%tup", tuple(normalize(general(v), th) for v in pvs), "Msg")
     spe = App("%tup", tuple(normalize(specific(v), th) for v in pvs), "Msg")
-    svars = sorted(variables(spe), key=term_key)
-    freeze = {v: App(_FREEZE_PREFIX + v.name, (), v.sort) for v in svars}
-    frozen = Subst(freeze, _trusted=True)(spe)
-    for s in unify_canonical(gen, frozen, th, budget=_Budget(128)):
-        if eq_modulo(s(gen), frozen, th):
-            return True
-    return False
+    # a match may bind nothing, so count matches, not their truth
+    return any(True for _ in match_ax(_apart(gen, th)[0], spe, th,
+                                      leq=_default_leq))
+
+
+def _apart(t: Term, th: EquationalTheory) -> tuple:
+    """t made canonical with its variables renamed to %I0, %I1, ..., names
+    no other term carries, so that it can be matched as a pattern; and
+    the map back to the old names."""
+    ren = {v: Var(f"%I{i}", v.sort)
+           for i, v in enumerate(sorted(variables(t), key=term_key))}
+    return canon(_apply(ren, t), th), {w: v for v, w in ren.items()}
 
 
 def xor_unify(t1: Term, t2: Term, th: EquationalTheory, leq=None) -> UnifierSet:
@@ -594,49 +554,48 @@ def xor_unify(t1: Term, t2: Term, th: EquationalTheory, leq=None) -> UnifierSet:
     return UnifierSet(tuple(minimized), not budget.blown)
 
 
-_FREEZE_PREFIX = "%frz%"
-
-
 def match_modulo(pattern: Term, target: Term, th: EquationalTheory,
-                 leq=None, variant_depth: int = VARIANT_DEPTH) -> UnifierSet:
-    """One-sided unification: target variables are treated as constants.
-
-    The frozen constants are named by the variables' places in term order,
-    so renamed copies of one problem reach the unifier memo as one.
-    """
-    tvars = sorted(variables(target), key=term_key)
-    freeze = {v: App(f"{_FREEZE_PREFIX}{i}", (), v.sort)
-              for i, v in enumerate(tvars)}
-    thaw = {c.op: v for v, c in freeze.items()}
-    frozen_target = Subst(freeze, _trusted=True)(target)
-    got = unify_modulo(pattern, frozen_target, th, leq=leq,
-                       variant_depth=variant_depth)
-    pvars = variables(pattern)
-    out = []
-    for s in got:
-        m = {v: _thaw(t, thaw) for v, t in s.items() if v in pvars}
-        out.append(Subst(m, _trusted=True))
-    return UnifierSet(tuple(out), got.complete)
-
-
-def match_extensions(pattern: Term, target: Term, binding: dict,
-                     th: EquationalTheory, leq=None) -> Iterator[dict]:
-    """`match_modulo` as a generator of extensions of `binding`, which maps
-    pattern variables to target terms.  The images of the variables of the
-    pattern that `binding` already binds are matched as part of the
-    target, so the target's variables stay fixed in them too."""
-    bound = sorted(variables(pattern) & binding.keys(), key=term_key)
+                 leq=None, binding: Optional[dict] = None) -> UnifierSet:
+    """Matchers of pattern against target modulo th: substitutions of the
+    pattern's variables under which it equals the target, whose variables
+    stay fixed.  Given a `binding` of pattern variables to target terms,
+    the images of the bound variables of the pattern are matched as part
+    of the target, and each matcher extends the binding.  Memoized like
+    `unify_modulo`."""
+    bound = sorted(variables(pattern) & binding.keys(), key=term_key) \
+        if binding else ()
     if bound:
         pattern = App("%tup", (pattern, *bound), "Msg")
         target = App("%tup", (target, *(binding[v] for v in bound)), "Msg")
-    for s in match_modulo(pattern, target, th, leq=leq):
-        yield {**s, **binding}
+    got = _memoized(_match_modulo_raw, pattern, target, th, leq)
+    if not binding:
+        return got
+    return UnifierSet(tuple(Subst({**s, **binding}, _trusted=True)
+                            for s in got), got.complete)
 
 
-def _thaw(t: Term, thaw: dict) -> Term:
-    if isinstance(t, App):
-        if not t.args and t.op in thaw:
-            return thaw[t.op]
-        if t.args:
-            return App(t.op, tuple(_thaw(a, thaw) for a in t.args), t.sort)
-    return t
+def _match_modulo_raw(pattern: Term, target: Term, th: EquationalTheory,
+                      leq) -> UnifierSet:
+    """Match each variant of the pattern (`side_variants`), renamed apart
+    from the target, against the target's normal form modulo the axioms
+    (`theory.match_ax`), and verify each matcher by normalize and
+    compare."""
+    pat, back = _apart(pattern, th)
+    subject = normalize(target, th)
+    fixed = back.keys() | variables(subject)  # others come from narrowing
+    found, complete = side_variants(pat, th)
+    out, seen = [], set()
+    for u, sigma in found:
+        for b in match_ax(canon(u, th), subject, th, leq=leq):
+            cand = _deflate(Subst({x: normalize(_apply(b, sigma(x)), th)
+                                   for x in back}, _trusted=True), fixed)
+            if normalize(cand(pat), th) != subject:
+                continue
+            s = Subst({back[x]: _apply(back, t) for x, t in cand.items()},
+                      _trusted=True)
+            key = _subst_key(s)
+            if key not in seen:
+                seen.add(key)
+                out.append(s)
+    out.sort(key=_subst_key)
+    return UnifierSet(tuple(out), complete)

@@ -121,6 +121,39 @@ def test_validate_flags_mode_mixing(nsl_db):
             transform(doc)
 
 
+CHAIN = """
+protocol P {
+  sorts Name ;
+  subsort Name < Msg ;
+  vars A : Name ;
+  strand R1 { +(A) ; out (A) ; }
+  strand R2 { in (A) ; +(A) ; out (A) ; }
+  strand R3 { in (A) ; -(A) ; }
+}
+composition {
+  (R1, R2, 1-1) ;
+  (R2, R3, 1-*) ;
+}
+"""
+
+
+def test_role_composed_under_one_mode_per_side():
+    # R2 is a child under 1-1 and a parent under 1-*: its input takes the
+    # mode of the triples naming it as child, its output the mode of those
+    # naming it as parent
+    doc = parse_document(CHAIN)
+    assert validate_composition(doc) == []
+    r2 = synch_transform(doc).schemas["R2"].items
+    assert (r2[0].direction, r2[0].mode) == ("in", "1-1")
+    assert (r2[-1].direction, r2[-1].mode) == ("out", "1-*")
+    r3 = synch_transform(doc).schemas["R3"].items
+    assert r3[0].mode == "1-*"
+    # the one-to-one input receives the parent's tag, the one-to-many
+    # output sends its own
+    items = phi_transform(doc).schemas["R2"].items
+    assert [it.polarity for it in items] == ["+", "-", "+", "+"]
+
+
 def test_synch_transform_builds_sync_points(nsl_db):
     spec = synch_transform(nsl_db)
     init = spec.schemas["NSL.init"]

@@ -1,6 +1,8 @@
 import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strandkit import unify
 from strandkit.dsl import parse_document
@@ -191,7 +193,7 @@ def test_unifier_sets_are_deterministic():
 SPECS = pathlib.Path(__file__).resolve().parents[1] / "specs"
 
 
-def _narrow_everywhere(u, sigma, th, base_vars):
+def _narrow_everywhere(u, sigma, th, names):
     """Reference narrowing step: every rule at every position of u."""
     out = []
     for pos in positions(u):
@@ -199,8 +201,7 @@ def _narrow_everywhere(u, sigma, th, base_vars):
         if not isinstance(sub, App):
             continue
         for lhs, rhs in th.rules:
-            unify._variant_counter[0] += 1
-            n = unify._variant_counter[0]
+            n = next(names)
             rs = Subst({v: Var(f"{v.name}%v{n}", v.sort)
                         for v in variables(lhs)}, _trusted=True)
             for theta in unify.unify_canonical(sub, rs(lhs), th):
@@ -210,10 +211,6 @@ def _narrow_everywhere(u, sigma, th, base_vars):
 
 
 def _variant_keys(t, th):
-    # _pair_key numbers narrowing variables in argument order, and sums
-    # sort their arguments by variable name.  Counter values of one width
-    # make the names sort in creation order, which both runs share.
-    unify._variant_counter[0] = 10**6
     vs, complete = variants(t, th, 2)
     base = variables(t)
     return {unify._pair_key(u, s, base) for u, s in vs}, complete
@@ -262,7 +259,6 @@ def test_variants_match_narrowing_at_every_position(name, monkeypatch):
     """Narrowing tries a rule only where its left side's head matches, or
     under exclusive-or; trying every rule everywhere adds no variant."""
     th, t = SPEC_TERMS[name]
-    monkeypatch.setattr(unify, "_variant_counter", [0])
     got = _variant_keys(t, th)
     monkeypatch.setattr(unify, "_narrow_once", _narrow_everywhere)
     want = _variant_keys(t, th)
@@ -383,21 +379,99 @@ def test_renamed_sides_narrow_once(monkeypatch):
     assert [s(X2) for s in got] == [e(K2, const("m"))]
 
 
-def test_renamed_match_problems_unify_once(monkeypatch):
+def test_renamed_match_problems_narrow_once(monkeypatch):
     calls = []
-    raw = unify._unify_modulo_raw
 
-    def counted(*args):
-        calls.append(args[:2])
-        return raw(*args)
+    def counted(t, th, depth=unify.VARIANT_DEPTH):
+        calls.append(t)
+        return variants(t, th, depth)
 
-    monkeypatch.setattr(unify, "_unify_modulo_raw", counted)
+    monkeypatch.setattr(unify, "variants", counted)
     th = EquationalTheory(rules=ED_TH.rules)  # a memo of its own
     A, B, A2, B2, K2, X2 = (Var(n) for n in ("A", "B", "A2", "B2", "K2", "X2"))
     first = match_modulo(d(K, X), d(A, e(A, B)), th)
     second = match_modulo(d(K2, X2), d(A2, e(A2, B2)), th)
-    assert len(calls) == 1
+    assert len(calls) == 1  # only the pattern is narrowed, and only once
     assert first and first.complete == second.complete
     ren = Subst({A: A2, B: B2, K: K2, X: X2}, _trusted=True)
     assert [(ren(s(K)), ren(s(X))) for s in first] == \
         [(s(K2), s(X2)) for s in second]
+
+
+def _frozen_instance_of(general, specific, problem_vars, th):
+    """Reference instance check: freeze the variables of the specific
+    tuple to constants, unify modulo the axioms and verify."""
+    pvs = sorted(problem_vars, key=term_key)
+    gen = App("%tup", tuple(normalize(general(v), th) for v in pvs), "Msg")
+    spe = App("%tup", tuple(normalize(specific(v), th) for v in pvs), "Msg")
+    freeze = {v: App("%frz%" + v.name, (), v.sort)
+              for v in sorted(variables(spe), key=term_key)}
+    frozen = Subst(freeze, _trusted=True)(spe)
+    return any(eq_modulo(s(gen), frozen, th)
+               for s in unify.unify_canonical(gen, frozen, th,
+                                              budget=unify._Budget(128)))
+
+
+def _compare_counterexample():
+    """An instance check from `compare` on nsl_db that needs the sums of
+    the general tuple cancelled against the specific one: W2's image
+    normalizes to n(a, c0) * n(b, c1) * M, and M is bound to a sum by
+    W1's image."""
+    *_, (th, op) = _spec_theories()
+    W0, W1, W2 = Var("W0", "Name"), Var("W1"), Var("W2")
+    A, M = Var("A", "Name"), Var("M")
+    na, nb = op("n", op("a"), FreshConst(0, "c")), \
+        op("n", op("b"), FreshConst(1, "c"))
+    general = Subst({W1: op("sk", W0, M),
+                     W2: op("*", op("*", na, nb), op("sk", A, op("pk", A, M)))})
+    specific = Subst({W1: op("sk", W0, op("*", op("*", W2, na), nb))})
+    return th, general, specific, {W0, W1, W2}
+
+
+def test_instance_check_cancels_sums():
+    th, general, specific, pvs = _compare_counterexample()
+    # M and W2 determine each other, so each side is an instance of the
+    # other; a matcher without the cancellation misses the first
+    for g, s in ((general, specific), (specific, general)):
+        assert _frozen_instance_of(g, s, pvs, th)
+        assert unify._is_instance_of(g, s, pvs, th)
+
+
+# the pair's own variable T sorts after the sums' S1 and S2, so the sums
+# come first in the tuple and the matcher has to put them last
+S1, S2, T = Var("S1"), Var("S2"), Var("T")
+V1, V2, W, Q = Var("V1"), Var("V2"), Var("W"), Var("Q")
+A_, B_, C_ = const("a"), const("b"), const("c")
+XOR_ATOMS = (V1, V2, A_, B_, App("f", (V1,), "Msg"), App("f", (C_,), "Msg"))
+XOR_IMAGES = (A_, B_, Q, xor(A_, B_), xor(Q, C_), App("f", (Q,), "Msg"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(XOR_ATOMS), max_size=4, unique=True),
+       st.lists(st.sampled_from(XOR_ATOMS), max_size=3, unique=True),
+       st.booleans(),
+       st.tuples(*[st.sampled_from(XOR_IMAGES)] * 3),
+       st.sampled_from((None, A_, C_)))
+def test_instance_check_agrees_on_xor_tuples(sum1, sum2, with_w, images,
+                                             flip):
+    """T's image binds V1 and V2; the sums of S1 and S2 are built from
+    them, constants and, once, a variable W of their own.  The specific
+    side is an instance of the general one, with one more atom in S1's
+    sum when `flip` is set: then it is one only through W.
+
+    The freeze-and-unify reference must find no instance that the
+    matcher misses.  It finds fewer: its exclusive-or solver never sets
+    a variable that occurs inside another atom to zero, so it misses
+    S1 -> W * V1, S2 -> f(V1) * V1 against S1 -> a, S2 -> f(a) * a."""
+    general = Subst({T: App("h", (V1, V2), "Msg"),
+                     S1: xor(W, *sum1) if with_w else xor(ZERO, *sum1),
+                     S2: xor(ZERO, *sum2)})
+    rho = Subst(dict(zip((V1, V2, W), images)))
+    specific = {p: rho(general(p)) for p in (S1, S2, T)}
+    if flip is not None:
+        specific[S1] = xor(specific[S1], flip)
+    specific = Subst(specific)
+    pvs = {S1, S2, T}
+    want = flip is None or with_w
+    assert unify._is_instance_of(general, specific, pvs, XOR_TH) == want
+    assert want or not _frozen_instance_of(general, specific, pvs, XOR_TH)
