@@ -88,7 +88,7 @@ class Grammar:
                 self._blockers.setdefault(lhs.op, []).append(tuple(
                     (k, a.op) for k, a in enumerate(lhs.args)
                     if isinstance(a, App)))
-        self._xor = set(th.nilpotent_ops())
+        self._xor = th.nilpotent
         # sorts a sum can have: a variable of another sort is never a sum
         self._sum_sorts = {res for (op, _), (_, res) in spec.signature.ops.items()
                            if op in self._xor}

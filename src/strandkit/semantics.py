@@ -320,7 +320,7 @@ def _atom_splits(msg: Term, demands: list, fact: Term,
     """The ways a send that sums the messages it received yields a ground
     sum, each received message a sum of some of the sum's atoms; None when
     msg or fact has another shape."""
-    if not (isinstance(msg, App) and th.is_nilpotent(msg.op)
+    if not (isinstance(msg, App) and msg.op in th.nilpotent
             and isinstance(fact, App) and fact.op == msg.op
             and is_ground(fact)):
         return None

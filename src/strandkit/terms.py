@@ -412,9 +412,9 @@ IDENTITY = Subst()
 
 def _apply(m: Mapping, t):
     """t with the map m applied; m maps variables, and fresh constants, to
-    terms.  A binding whose image is itself a bound variable is followed,
-    as the triangular maps of `unify._solve` need; an idempotent `Subst`
-    never has one."""
+    terms.  A binding to another bound variable is followed, as the
+    triangular maps of `unify._solve` need; a variable bound to itself, as
+    `theory.match_ax` leaves a free one, stays as it is."""
     if not m:
         return t
     if isinstance(t, App):
@@ -428,7 +428,8 @@ def _apply(m: Mapping, t):
         got = m.get(t)
         if got is None:
             return t
-        return _apply(m, got) if isinstance(got, Var) and got in m else got
+        return _apply(m, got) if isinstance(got, Var) and got in m and \
+            got != t else got
     if isinstance(t, tuple):
         return tuple(_apply(m, a) for a in t)
     return t

@@ -66,11 +66,15 @@ class EquationalTheory:
                                compare=False)
     _variant_cache: dict = field(default_factory=dict, init=False,
                                  repr=False, compare=False)
-    _nilpotent: frozenset = field(default=frozenset(), init=False,
-                                  repr=False, compare=False)
+    # the operators declared nilpotent, derived from the axioms
+    nilpotent: frozenset = field(default=frozenset(), init=False,
+                                 repr=False, compare=False)
+    # how often `match_ax` matched a sum in a way that may lose matchers
+    _match_gaps: list = field(default_factory=lambda: [0], init=False,
+                              repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_nilpotent", frozenset(
+        object.__setattr__(self, "nilpotent", frozenset(
             op for op, decl in self.axioms if decl.nilpotent))
         for lhs, rhs in self.rules:
             if isinstance(lhs, Var):
@@ -107,11 +111,11 @@ class EquationalTheory:
                              for v in variables(lhs)}, _trusted=True)
                 c = canon(lhs, self)
                 head = c.op if isinstance(c, App) and \
-                    not self.is_nilpotent(c.op) else None
+                    c.op not in self.nilpotent else None
                 entries.append((head, (lhs, rhs, ren(lhs), ren(rhs))))
-            ops = {None} | {h for h, _ in entries} | set(self.nilpotent_ops())
+            ops = {None} | {h for h, _ in entries} | self.nilpotent
             m = {op: tuple(e for h, e in entries
-                           if h in (op, None) or self.is_nilpotent(op))
+                           if h in (op, None) or op in self.nilpotent)
                  for op in ops}
             object.__setattr__(self, "_rule_index", m)
         return m
@@ -119,15 +123,6 @@ class EquationalTheory:
     def is_ac(self, op: str) -> bool:
         ax = self.axiom(op)
         return ax is not None and ax.assoc and ax.comm
-
-    def is_nilpotent(self, op: str) -> bool:
-        return op in self._nilpotent
-
-    def nilpotent_ops(self) -> frozenset:
-        return self._nilpotent
-
-    def is_free(self) -> bool:
-        return not self.rules and not self.axioms
 
     def merge(self, other: "EquationalTheory") -> "EquationalTheory":
         rules = list(self.rules)
@@ -221,6 +216,19 @@ def ac_atoms(t: Term, op: str, th: EquationalTheory) -> list:
     return [t]
 
 
+def absorber(atoms: list, rest: list, op: str, sort: str,
+             th: EquationalTheory, leq) -> Optional[tuple]:
+    """(v, s) for the first variable v among `atoms` that occurs in no other
+    atom and may take, under `leq`, the sum s of the others and of `rest`:
+    v -> s most generally makes the sum of both lists the unit; or None."""
+    for i, v in enumerate(atoms):
+        if isinstance(v, Var):
+            s = ac_combine(atoms[:i] + atoms[i + 1:] + rest, op, th, sort)
+            if v not in variables(s) and (leq is None or leq(s.sort, v.sort)):
+                return v, s
+    return None
+
+
 def ac_combine(atoms: Sequence[Term], op: str, th: EquationalTheory, sort: str) -> Term:
     ax = th.axiom(op)
     if not atoms:
@@ -242,8 +250,9 @@ def match_ax(pattern: Term, subject: Term, th: EquationalTheory,
     non-variable pattern arguments are matched injectively and at most one
     pattern variable absorbs the leftovers, which covers every rule shape
     used here.  Sums under a nilpotent operator are matched last in an
-    argument list, then by `_match_nilpotent`.  With a subsort test `leq`,
-    a variable binds only a subject whose sort is below its own.
+    argument list, then by `_match_nilpotent`, which counts the matches
+    that may be incomplete.  With a subsort test `leq`, a variable binds
+    only a subject whose sort is below its own.
     """
     if binding is None:
         binding = {}
@@ -259,7 +268,7 @@ def match_ax(pattern: Term, subject: Term, th: EquationalTheory,
         if pattern == subject:
             yield binding
         return
-    nil = th._nilpotent
+    nil = th.nilpotent
     if pattern.op in nil:
         yield from _match_nilpotent(pattern, subject, th, binding, leq)
         return
@@ -289,20 +298,26 @@ def _match_nilpotent(pattern: App, subject: Term, th: EquationalTheory,
                      binding: dict, leq) -> Iterator[dict]:
     """Match a sum under a nilpotent operator.  The pattern arguments whose
     variables the binding fixes are added to the subject, which cancels
-    them; a single leftover variable binds to the sum that remains, and
-    other leftovers are matched against its atoms as under plain AC."""
+    them.  An `absorber` of the leftovers takes the rest, and the others'
+    variables are bound to themselves, fixed for later matches.  Without
+    one, the leftovers are matched as under plain AC, where none cancel.
+    Either may lose matchers; `th._match_gaps` counts those that could."""
+    op, sort = pattern.op, pattern.sort
     fixed, free = [], []
     for a in pattern.args:
         (fixed if variables(a) <= binding.keys() else free).append(a)
-    rest = subject
-    if fixed:
-        rest = _canon_app(App(pattern.op, (subject,) + tuple(
-            _apply(binding, a) for a in fixed), pattern.sort), th)
-    if len(free) == 1 and isinstance(free[0], Var):
-        yield from match_ax(free[0], rest, th, binding, leq)
+    rest = sym_diff([x for t in [subject] + [_apply(binding, a) for a in fixed]
+                     for x in ac_atoms(t, op, th)])
+    got = absorber(free, rest, op, sort, th, leq)
+    if got is None:
+        th._match_gaps[0] += len(free) > 1
+        yield from _match_ac(free, rest, op, sort, th, binding, leq)
         return
-    yield from _match_ac(free, ac_atoms(rest, pattern.op, th), pattern.op,
-                         pattern.sort, th, binding, leq)
+    v, image = got
+    pinned = {u: u for a in free for u in variables(a)
+              if u != v and u not in binding}
+    th._match_gaps[0] += bool(pinned)
+    yield {**binding, v: image, **pinned}
 
 
 def _match_seq(pats, subjs, th, binding, leq) -> Iterator[dict]:

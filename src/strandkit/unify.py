@@ -33,8 +33,8 @@ from .theory import (
     EMPTY_THEORY,
     EquationalTheory,
     _Budget,
+    absorber,
     ac_atoms,
-    ac_combine,
     canon,
     eq_modulo,
     match_ax,
@@ -123,11 +123,15 @@ def _solve(eqns: list, subst: dict, th: EquationalTheory, budget: _Budget,
     # Variable cases
     for x, y in ((a, b), (b, a)):
         if isinstance(x, Var):
-            # two variables bind toward the smaller sort
-            if leq(least_sort(y), x.sort):
+            if isinstance(y, Var):
+                if leq(y.sort, x.sort):
+                    s2 = _bind(x, y, subst, th)
+                elif leq(x.sort, y.sort):
+                    s2 = _bind(y, x, subst, th)
+                else:
+                    s2 = None
+            elif leq(least_sort(y), x.sort):
                 s2 = _bind(x, y, subst, th)
-            elif isinstance(y, Var) and leq(x.sort, y.sort):
-                s2 = _bind(y, x, subst, th)
             else:
                 s2 = None
             if s2 is not None:
@@ -136,24 +140,30 @@ def _solve(eqns: list, subst: dict, th: EquationalTheory, budget: _Budget,
     if isinstance(a, FreshConst) or isinstance(b, FreshConst):
         return out  # unequal fresh constants (or constant vs application)
     # Both are applications.
-    nil_op = a.op if th.is_nilpotent(a.op) else \
-        b.op if th.is_nilpotent(b.op) else None
+    nil_op = a.op if a.op in th.nilpotent else \
+        b.op if b.op in th.nilpotent else None
     if nil_op is not None:
         # each candidate is a list of (left, right) constraints; a Var on
         # the left proposes a binding, anything else is a residual equation
         atoms = sym_diff(ac_atoms(a, nil_op, th) + ac_atoms(b, nil_op, th))
         branches = []
         for partial in _solve_atoms(atoms, a.sort, nil_op, th, budget, leq):
-            s2, new_eqns = dict(subst), []
+            s2 = dict(subst)
+            ok = True
+            new_eqns = []
             for v, t in partial:
-                if not isinstance(v, Var):
+                if isinstance(v, Var):
+                    if not leq(least_sort(t), v.sort):
+                        ok = False
+                        break
+                    s3 = _bind(v, t, s2, th)
+                    if s3 is None:
+                        ok = False
+                        break
+                    s2 = s3
+                else:
                     new_eqns.append((v, t))
-                    continue
-                s2 = _bind(v, t, s2, th) if leq(least_sort(t), v.sort) \
-                    else None
-                if s2 is None:
-                    break
-            else:
+            if ok:
                 branches.append((s2, new_eqns))
         try_branches(branches)
         return out
@@ -190,12 +200,9 @@ def _solve_atoms(atoms: list, sort: str, op: str, th: EquationalTheory,
         return [[]]
     # A top-level variable not occurring elsewhere has a unique most general
     # solution in the Boolean group: bind it to the sum of the rest.
-    for i, v in enumerate(atoms):
-        if isinstance(v, Var):
-            rest = atoms[:i] + atoms[i + 1 :]
-            rhs = ac_combine(rest, op, th, sort)
-            if v not in variables(rhs) and leq(least_sort(rhs), v.sort):
-                return [[(v, rhs)]]
+    got = absorber(atoms, [], op, sort, th, leq)
+    if got is not None:
+        return [[got]]
     # Otherwise alien atoms must cancel pairwise.
     if len(atoms) % 2 == 1 or not budget.spend():
         return []
@@ -208,8 +215,9 @@ def _solve_atoms(atoms: list, sort: str, op: str, th: EquationalTheory,
             continue
         seen_partner.add(pk)
         for s in _solve([(a0, aj)], {}, th, budget, leq=leq):
-            remaining = sym_diff([x for k, t in enumerate(tail) if k != j
-                                  for x in ac_atoms(_apply(s, t), op, th)])
+            remaining = [_apply(s, t) for k, t in enumerate(tail) if k != j]
+            remaining = sym_diff(
+                [x for t in remaining for x in ac_atoms(t, op, th)])
             for rest_sol in _solve_atoms(remaining, sort, op, th, budget, leq):
                 out.append([(v, t) for v, t in s.items()] + rest_sol)
     return out
@@ -220,23 +228,23 @@ def unify_canonical(t1: Term, t2: Term, th: EquationalTheory,
     """Unifiers modulo structural axioms only (no rule narrowing)."""
     if budget is None:
         budget = _Budget(BRANCH_BUDGET)
-    dicts = _solve([(t1, t2)], {}, th, budget, leq=leq)
     out = []
-    seen = set()
-    for d in dicts:
+    for d in _solve([(t1, t2)], {}, th, budget, leq=leq):
         try:
-            s = Subst(d)
+            out.append(Subst(d))
         except SortClash:
             continue
-        key = _subst_key(s)
-        if key not in seen:
-            seen.add(key)
-            out.append(s)
-    return out
+    return _distinct(out)
 
 
 def _subst_key(s: Subst):
     return tuple(sorted((v.name, v.sort, term_key(t)) for v, t in s.items()))
+
+
+def _distinct(substs: list) -> list:
+    """The substitutions, each `_subst_key` once, in order of first
+    occurrence."""
+    return list({_subst_key(s): s for s in substs}.values())
 
 
 def variants(t: Term, th: EquationalTheory, depth: int = VARIANT_DEPTH) -> tuple:
@@ -377,9 +385,8 @@ class _Renaming:
         return t
 
 
-def side_variants(t: Term, th: EquationalTheory,
-                  depth: int = VARIANT_DEPTH) -> tuple:
-    """`variants(t, th, depth)`, memoized per theory up to renaming.
+def side_variants(t: Term, th: EquationalTheory) -> tuple:
+    """`variants(t, th)`, memoized per theory up to renaming.
 
     The substitutions are restricted to the variables of t, and the
     narrowing variables come back renamed apart from those of every other
@@ -388,15 +395,14 @@ def side_variants(t: Term, th: EquationalTheory,
     ren = _Renaming()
     c = ren(t)
     cache = th._variant_cache
-    key = (c, depth)
-    hit = cache.get(key)
+    hit = cache.get(c)
     if hit is None:
-        found, complete = variants(c, th, depth)
+        found, complete = variants(c, th)
         base = variables(c)
         hit = (tuple((u, sigma.restrict(base)) for u, sigma in found), complete)
         if len(cache) >= VARIANT_CACHE_CAP:
             cache.clear()
-        cache[key] = hit
+        cache[c] = hit
     found, complete = hit
     back = ren.back
     return [(back(u), Subst({back(v): back(b) for v, b in sigma.items()},
@@ -405,8 +411,7 @@ def side_variants(t: Term, th: EquationalTheory,
 
 
 def unify_modulo(t1: Term, t2: Term, th: EquationalTheory,
-                 leq=None, variant_depth: int = VARIANT_DEPTH,
-                 branch_budget: int = BRANCH_BUDGET) -> UnifierSet:
+                 leq=None, branch_budget: int = BRANCH_BUDGET) -> UnifierSet:
     """A complete-up-to-bounds set of verified unifiers modulo th.
 
     The two terms may share variables.  Unifiers are restricted to the
@@ -417,8 +422,7 @@ def unify_modulo(t1: Term, t2: Term, th: EquationalTheory,
     fresh constants, since backward search poses the same problems over
     and over with freshly renamed strand instances.
     """
-    return _memoized(_unify_modulo_raw, t1, t2, th, leq, variant_depth,
-                     branch_budget)
+    return _memoized(_unify_modulo_raw, t1, t2, th, leq, branch_budget)
 
 
 def _memoized(raw, t1: Term, t2: Term, th: EquationalTheory, leq,
@@ -445,8 +449,7 @@ def _memoized(raw, t1: Term, t2: Term, th: EquationalTheory, leq,
 
 
 def _unify_modulo_raw(t1: Term, t2: Term, th: EquationalTheory,
-                      leq, variant_depth: int,
-                      branch_budget: int) -> UnifierSet:
+                      leq, branch_budget: int) -> UnifierSet:
     """Unify each variant of t1 with each variant of t2 modulo the axioms.
 
     The normal form of an E-unifier factors through one variant of each
@@ -456,11 +459,8 @@ def _unify_modulo_raw(t1: Term, t2: Term, th: EquationalTheory,
     """
     vars1, vars2 = variables(t1), variables(t2)
     problem_vars = vars1 | vars2
-    if th.is_free():
-        s = syntactic_unify(t1, t2)
-        return UnifierSet((s.restrict(problem_vars),) if s is not None else ())
-    side1, complete1 = side_variants(t1, th, variant_depth)
-    side2, complete2 = side_variants(t2, th, variant_depth)
+    side1, complete1 = side_variants(t1, th)
+    side2, complete2 = side_variants(t2, th)
     shared = sorted(vars1 & vars2, key=term_key)
 
     def goal(u, sigma):
@@ -470,7 +470,6 @@ def _unify_modulo_raw(t1: Term, t2: Term, th: EquationalTheory,
 
     budget = _Budget(branch_budget)
     found = []
-    seen = set()
     goals2 = [(goal(u, sigma), sigma) for u, sigma in side2]
     for u1, sigma1 in side1:
         g1 = goal(u1, sigma1)
@@ -479,15 +478,10 @@ def _unify_modulo_raw(t1: Term, t2: Term, th: EquationalTheory,
                 m = {x: theta(sigma2(x)) for x in vars2}
                 m.update((x, theta(sigma1(x))) for x in vars1)
                 cand = _deflate(Subst(m), problem_vars)
-                if not eq_modulo(cand(t1), cand(t2), th):
-                    continue
-                key = _subst_key(cand)
-                if key in seen:
-                    continue
-                seen.add(key)
-                found.append(cand)
+                if eq_modulo(cand(t1), cand(t2), th):
+                    found.append(cand)
     complete = complete1 and complete2 and not budget.blown
-    minimized = _minimize(found, problem_vars, th)
+    minimized = _minimize(_distinct(found), problem_vars, th)
     minimized.sort(key=_subst_key)
     return UnifierSet(tuple(minimized), complete)
 
@@ -510,12 +504,21 @@ def _deflate(s: Subst, problem_vars: set) -> Subst:
 
 
 def _minimize(substs: list, problem_vars: set, th: EquationalTheory) -> list:
-    """Drop unifiers that are instances of another unifier in the set; of
-    two equivalent unifiers the first one stays."""
-    return [s for i, s in enumerate(substs) if not any(
-        j != i and _is_instance_of(g, s, problem_vars, th) and not (
-            j > i and _is_instance_of(s, g, problem_vars, th))
-        for j, g in enumerate(substs))]
+    """Drop unifiers that are instances of another unifier in the set."""
+    keep = []
+    for i, s in enumerate(substs):
+        redundant = False
+        for j, g in enumerate(substs):
+            if i == j:
+                continue
+            if _is_instance_of(g, s, problem_vars, th):
+                if j > i and _is_instance_of(s, g, problem_vars, th):
+                    continue  # equivalent pair: keep the first one
+                redundant = True
+                break
+        if not redundant:
+            keep.append(s)
+    return keep
 
 
 def _is_instance_of(general: Subst, specific: Subst, problem_vars: set,
@@ -539,19 +542,11 @@ def _apart(t: Term, th: EquationalTheory) -> tuple:
 
 
 def xor_unify(t1: Term, t2: Term, th: EquationalTheory, leq=None) -> UnifierSet:
-    """Unification in the nilpotent-AC (exclusive-or) fragment."""
-    if not th.nilpotent_ops():
+    """Unification in the nilpotent-AC (exclusive-or) fragment: the
+    `unify_modulo` of a theory that must have a nilpotent operator."""
+    if not th.nilpotent:
         raise ValueError("theory has no nilpotent operator")
-    problem_vars = variables(t1) | variables(t2)
-    budget = _Budget(BRANCH_BUDGET)
-    out = []
-    for s in unify_canonical(t1, t2, th, leq=leq, budget=budget):
-        cand = s.restrict(problem_vars)
-        if eq_modulo(cand(t1), cand(t2), th):
-            out.append(cand)
-    minimized = _minimize(out, problem_vars, th)
-    minimized.sort(key=_subst_key)
-    return UnifierSet(tuple(minimized), not budget.blown)
+    return unify_modulo(t1, t2, th, leq=leq)
 
 
 def match_modulo(pattern: Term, target: Term, th: EquationalTheory,
@@ -577,25 +572,20 @@ def match_modulo(pattern: Term, target: Term, th: EquationalTheory,
 def _match_modulo_raw(pattern: Term, target: Term, th: EquationalTheory,
                       leq) -> UnifierSet:
     """Match each variant of the pattern (`side_variants`), renamed apart
-    from the target, against the target's normal form modulo the axioms
-    (`theory.match_ax`), and verify each matcher by normalize and
-    compare."""
+    from the target, against the target's normal form (`theory.match_ax`);
+    keep the matchers that normalize and compare equal.  Incomplete where
+    the variants are, or where `match_ax` counted a gap."""
     pat, back = _apart(pattern, th)
     subject = normalize(target, th)
     fixed = back.keys() | variables(subject)  # others come from narrowing
     found, complete = side_variants(pat, th)
-    out, seen = [], set()
+    gaps, out = th._match_gaps[0], []
     for u, sigma in found:
         for b in match_ax(canon(u, th), subject, th, leq=leq):
             cand = _deflate(Subst({x: normalize(_apply(b, sigma(x)), th)
                                    for x in back}, _trusted=True), fixed)
-            if normalize(cand(pat), th) != subject:
-                continue
-            s = Subst({back[x]: _apply(back, t) for x, t in cand.items()},
-                      _trusted=True)
-            key = _subst_key(s)
-            if key not in seen:
-                seen.add(key)
-                out.append(s)
-    out.sort(key=_subst_key)
-    return UnifierSet(tuple(out), complete)
+            if normalize(cand(pat), th) == subject:
+                out.append(Subst({back[x]: _apply(back, t)
+                                  for x, t in cand.items()}, _trusted=True))
+    complete = complete and th._match_gaps[0] == gaps
+    return UnifierSet(tuple(sorted(_distinct(out), key=_subst_key)), complete)

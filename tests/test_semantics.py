@@ -30,7 +30,7 @@ from strandkit.semantics import (
     trans,
     trans_inv,
 )
-from strandkit.terms import Var
+from strandkit.terms import FreshConst, Var
 
 SPECS = pathlib.Path(__file__).resolve().parents[1] / "specs"
 
@@ -257,6 +257,25 @@ def test_forward_send_learn_flips_fact(nsl_db):
     succs = forward_step(st, spec, BASIC)
     learn = [r for r in succs if r.rule == "send_learn"]
     assert learn and learn[0].successor.facts == (IntruderFact(KNOWN, m),)
+
+
+def test_forward_intro_sums_known_facts(nsl_db):
+    """The exclusive-or intruder strand -(M) ; -(N) ; +(M * N) derives a
+    nonce from its sum with another and that other, and a sum from two
+    sums that share an atom, but nothing from one sum alone."""
+    spec = runtime_spec(nsl_db, SYNC)
+    sig = spec.signature
+    na, nb, ni = (mk(sig, "n", mk(sig, name), FreshConst(k, "c"))
+                  for k, name in enumerate("abi"))
+    for known, goal, rules in (
+            ([mk(sig, "*", na, nb), nb], na, ["intro_strand:int.xor"]),
+            ([mk(sig, "*", na, ni), mk(sig, "*", nb, ni)],
+             mk(sig, "*", na, nb), ["intro_strand:int.xor"]),
+            ([mk(sig, "*", na, nb)], na, [])):
+        st = SymbolicState((), tuple(IntruderFact(KNOWN, k) for k in known)
+                           + (IntruderFact(TO_LEARN, goal),))
+        steps = forward_step(st, spec, SYNC, rules=("intro_strand",))
+        assert [s.rule for s in steps] == rules
 
 
 def test_forward_sync_compose_advances_both(nsl_db):

@@ -1,6 +1,6 @@
 import pytest
 
-from strandkit.terms import App, FreshConst, Var, const, term_key
+from strandkit.terms import App, FreshConst, Subst, Var, const, term_key
 from strandkit.theory import (
     AxiomDecl,
     EquationalTheory,
@@ -125,6 +125,19 @@ def test_match_ax_sort_check(xor_theory):
                              xor_theory, leq=leq))
     assert list(match_ax(pat, canon(xor(const("b"), a), xor_theory),
                          xor_theory, leq=leq)) == [{N: a}]
+
+
+def test_match_ax_sum_of_variables(xor_theory):
+    """Of two free variable arguments of a sum, one takes the subject plus
+    the other, which stays free; the match counts as one that may have
+    lost matchers."""
+    M, N, a = Var("M"), Var("N"), const("a")
+    pat = canon(xor(M, N), xor_theory)
+    gaps = xor_theory._match_gaps[0]
+    (got,) = match_ax(pat, a, xor_theory)
+    assert got[M] == canon(xor(N, a), xor_theory)
+    assert canon(Subst(got)(pat), xor_theory) == a
+    assert xor_theory._match_gaps[0] == gaps + 1
 
 
 def test_budget_allows_exactly_n_steps():

@@ -184,6 +184,32 @@ def test_match_modulo_respects_theory():
     assert any(eq_modulo(s(pat), target, th) for s in got)
 
 
+def test_match_modulo_sum_of_variables():
+    """M * N matches a with M -> N * a under the nsl_db theory, as the
+    exclusive-or intruder strand -(M) ; -(N) ; +(M * N) needs."""
+    *_, (th, op) = _spec_theories()
+    pat, a = op("*", M, Var("N")), op("a")
+    assert any(eq_modulo(s(pat), a, th) for s in match_modulo(pat, a, th))
+
+
+def _h(*args):
+    return App("h", args, "Msg")
+
+
+@pytest.mark.parametrize("pattern, target", [
+    # two leftover arguments of a sum that must cancel
+    (xor(_h(X, Y), _h(const("a"), Y)), ZERO),
+    (xor(X, Y, _h(X, Y)), _h(const("a"), const("a"))),
+    # a variable that a sum leaves free, needed again after it
+    (_h(_h(xor(X, Y)), X), _h(_h(const("c")), const("d"))),
+])
+def test_match_modulo_reports_what_it_may_miss(pattern, target):
+    """Each of these has a matcher that `match_ax` does not find: the set
+    must then say it is incomplete."""
+    got = match_modulo(pattern, target, XOR_TH)
+    assert got or not got.complete
+
+
 def test_unifier_sets_are_deterministic():
     got1 = unify_modulo(d(K, X), Y, ED_TH)
     got2 = unify_modulo(d(K, X), Y, ED_TH)
