@@ -145,6 +145,9 @@ def cmd_analyze(args) -> int:
     doc = parse_document(_read(args.file))
     spec = runtime_spec(doc, args.mode)
     start = attack_state(doc, args.attack, spec, Minter())
+    if args.mode == ABSTRACT:
+        # attack patterns are built with synchronization points
+        start = trans_inv(start, spec)
     budget = SearchBudget(max_depth=args.max_depth, max_states=args.max_states,
                           wall_seconds=args.wall_seconds,
                           max_rss_mb=args.max_rss_mb)

@@ -337,10 +337,6 @@ def apply_subst_state(state: SymbolicState, s: Subst,
     return SymbolicState(strands, tuple(facts), tuple(diseqs), state.depth)
 
 
-def normalize_state(state: SymbolicState, th: EquationalTheory) -> Optional[SymbolicState]:
-    return apply_subst_state(state, Subst(), th)
-
-
 def _skeleton_key(t: Term):
     """A term key that ignores variable and fresh-constant identity."""
     if isinstance(t, Var):

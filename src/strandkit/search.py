@@ -61,20 +61,17 @@ INCONCLUSIVE = "Inconclusive"
 class SearchBudget:
     max_depth: int = 20
     max_states: int = 100_000
-    unify_branch: int = 512
     wall_seconds: Optional[float] = None
-    # cap on the term size of intruder demands; None picks a default from
-    # the protocol's own message sizes, 0 disables the cap.  Dropping an
-    # oversized demand never fabricates an attack (traces are replayed
-    # independently) but makes SecureFinite unclaimable, which the search
-    # accounts for.
-    max_fact_size: Optional[int] = None
     # peak resident-set cap in MiB; exceeding it yields Inconclusive instead
     # of letting the OS kill the process mid-search.
     max_rss_mb: Optional[int] = None
 
 
 def _default_fact_cap(spec: RuntimeSpec) -> int:
+    """The cap on the term size of intruder demands: twice the largest
+    term in the protocol's own messages.  Dropping an oversized demand
+    never fabricates an attack (traces are replayed independently) but
+    makes SecureFinite unclaimable, which the search accounts for."""
     biggest = 1
     minter = Minter()
     for schema in spec.schemas.values():
@@ -122,17 +119,12 @@ class _Node:
             demands is None else state_key(state, focus, demands)
 
 
-def _goal(state: SymbolicState, lazy_vars: bool) -> bool:
-    if not all(s.bar == 0 for s in state.strands):
-        return False
-    for f in state.facts:
-        if f.kind == KNOWN:
-            # a leftover demand for a bare variable is satisfiable by any
-            # public value the intruder can produce on its own
-            if lazy_vars and isinstance(f.payload, Var):
-                continue
-            return False
-    return True
+def _goal(state: SymbolicState) -> bool:
+    # a leftover demand for a bare variable is satisfiable by any public
+    # value the intruder can produce on its own
+    return all(s.bar == 0 for s in state.strands) and \
+        all(f.kind != KNOWN or isinstance(f.payload, Var)
+            for f in state.facts)
 
 
 def _strand_shape(s) -> tuple:
@@ -274,64 +266,52 @@ def _state_instance_of(cand: SymbolicState, gen: SymbolicState, th, match,
 
 
 def reachability_search(start: SymbolicState, spec: RuntimeSpec, mode: str,
-                        budget: Optional[SearchBudget] = None,
-                        lazy_vars: bool = True,
-                        reductions: bool = True) -> SearchResult:
+                        budget: Optional[SearchBudget] = None) -> SearchResult:
     """Backward search from `start` for an initial state, shallowest first.
 
-    Without `reductions` the search is breadth-first.  With them (the
-    default) sound state-space reductions drop predecessors: states that
-    demand a term the intruder cannot know yet (see `grammar`); steps
-    other than a pending receive (input priority); after a silent send,
-    steps of other strands; after a strand introduction, steps that use
-    none of the demands it made; leaf introductions and the silent sends
-    that empty a strand before the end; sums explained other than through
-    their atoms when every known sum is built from known atoms; and
-    states that are instances of a kept state no deeper, even with extra
-    facts.  States are then taken in the order of their depth plus a
-    lower bound on the steps they still need (`steps_left`), so the
-    first initial state found is still a shallowest one, and states that
-    cannot reach one within the depth bound wait until the rest is done.
+    Sound state-space reductions drop predecessors: states that demand a
+    term the intruder cannot know yet (see `grammar`); steps other than a
+    pending receive (input priority); after a silent send, steps of other
+    strands; after a strand introduction, steps that use none of the
+    demands it made; leaf introductions and the silent sends that empty a
+    strand before the end; sums explained other than through their atoms
+    when every known sum is built from known atoms; and states that are
+    instances of a kept state no deeper, even with extra facts.  States
+    are then taken in the order of their depth plus a lower bound on the
+    steps they still need (`steps_left`), so the first initial state found
+    is still a shallowest one, and states that cannot reach one within the
+    depth bound wait until the rest is done.  `level_states` is the
+    unpruned breadth-first reference the reductions are checked against.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode}")
     budget = budget or SearchBudget()
     minter = Minter()
     t0 = time.monotonic()
-    fact_cap = budget.max_fact_size
-    if fact_cap is None:
-        fact_cap = _default_fact_cap(spec)
+    fact_cap = _default_fact_cap(spec)
     stats = {"states_explored": 0, "states_enqueued": 1, "deduped": 0,
              "subsumed": 0, "grammar_pruned": 0, "order_pruned": 0,
              "size_pruned": 0, "incomplete_unifications": 0,
              "max_depth_reached": 0}
     root = _Node(start, "attack-pattern", None)
-
-    def finish(*args, **kwargs) -> SearchResult:
-        return _finish(*args, theory=spec.theory, **kwargs)
-
-    if _goal(start, lazy_vars):
-        return finish(ATTACK_FOUND, root, stats, t0, complete=True)
-    grammar = None
-    if reductions:
-        from .grammar import Grammar  # only searches need it
-        grammar = Grammar(spec, mode, start.strands)
-    if grammar is not None and unlearnable(start, grammar):
+    th, leq = spec.theory, spec.signature.leq
+    if _goal(start):
+        return _finish(ATTACK_FOUND, root, stats, t0, th, complete=True)
+    from .grammar import Grammar  # only searches need it
+    grammar = Grammar(spec, mode, start.strands)
+    if unlearnable(start, grammar):
         stats["grammar_pruned"] += 1
-        return finish(SECURE_FINITE, None, stats, t0, complete=True)
-    splits = grammar is not None and grammar.sums_closed
+        return _finish(SECURE_FINITE, None, stats, t0, th, complete=True)
     order = itertools.count()
 
     def push(node) -> None:
         depth = node.state.depth
-        bound = depth if grammar is None else \
-            depth + steps_left(node.state, grammar)
+        bound = depth + steps_left(node.state, grammar)
         heapq.heappush(frontier, (bound, -depth, next(order), node))
 
     frontier: list = []
     push(root)
     best = {root.key: 0}  # the least depth each key was reached at
-    th, leq = spec.theory, spec.signature.leq
 
     def subsumes(p, t, b):
         return match_ax(p, t, th, b, leq)
@@ -341,8 +321,8 @@ def reachability_search(start: SymbolicState, spec: RuntimeSpec, mode: str,
     while frontier:
         if budget.wall_seconds is not None and \
                 time.monotonic() - t0 > budget.wall_seconds:
-            return finish(INCONCLUSIVE, None, stats, t0, complete=False,
-                          reason="wall clock budget exhausted")
+            return _finish(INCONCLUSIVE, None, stats, t0, th, complete=False,
+                           reason="wall clock budget exhausted")
         node = heapq.heappop(frontier)[-1]
         state = node.state
         if best[node.key] < state.depth:
@@ -350,47 +330,40 @@ def reachability_search(start: SymbolicState, spec: RuntimeSpec, mode: str,
         if budget.max_rss_mb is not None and \
                 stats["states_explored"] % 64 == 0 and \
                 _peak_rss_mb() > budget.max_rss_mb:
-            return finish(INCONCLUSIVE, None, stats, t0, complete=False,
-                          reason="memory budget exhausted")
+            return _finish(INCONCLUSIVE, None, stats, t0, th, complete=False,
+                           reason="memory budget exhausted")
         if state.depth >= budget.max_depth:
             truncated = True
             continue
         stats["states_explored"] += 1
-        steps = backward_successors(state, spec, mode, minter,
-                                    unify_branch=budget.unify_branch,
-                                    stats=stats, lazy_vars=lazy_vars,
-                                    max_fact_size=fact_cap,
-                                    in_order=reductions,
-                                    xor_splits=splits, focus=node.focus,
-                                    uses=node.uses)
+        steps = backward_successors(state, spec, mode, minter, stats=stats,
+                                    lazy_vars=True, max_fact_size=fact_cap,
+                                    in_order=True,
+                                    xor_splits=grammar.sums_closed,
+                                    focus=node.focus, uses=node.uses)
         for step in steps:
             pred = step.predecessor
-            focus = demands = None
-            if reductions:
-                focus = _silent_strand(state, step)
-                demands = _made_demands(step) if focus is None \
-                    else node.demands
+            focus = _silent_strand(state, step)
+            demands = _made_demands(step) if focus is None else node.demands
             child = _Node(pred, step.rule, node, focus, demands, step.key)
             if best.get(child.key, pred.depth + 1) <= pred.depth:
                 stats["deduped"] += 1
                 continue
             best[child.key] = pred.depth
-            if _goal(pred, lazy_vars):
+            if _goal(pred):
                 complete = not truncated and \
                     stats["incomplete_unifications"] == 0 and \
                     stats["size_pruned"] == 0
-                return finish(ATTACK_FOUND, child, stats, t0,
-                              complete=complete)
-            if grammar is not None and unlearnable(pred, grammar):
+                return _finish(ATTACK_FOUND, child, stats, t0, th,
+                               complete=complete)
+            if unlearnable(pred, grammar):
                 stats["grammar_pruned"] += 1
                 continue
             bucket = kept.setdefault(_skeleton(pred), [])
             nf = len(pred.facts)
             # bound the scan so subsumption cost stays linear overall
-            if any((len(g.facts) <= nf if reductions else len(g.facts) >= nf)
-                   and g.depth <= pred.depth
-                   and _state_instance_of(pred, g, th, subsumes,
-                                          extra_facts=reductions)
+            if any(len(g.facts) <= nf and g.depth <= pred.depth and
+                   _state_instance_of(pred, g, th, subsumes, extra_facts=True)
                    for g in bucket[:_SUBSUME_SCAN_CAP]):
                 stats["subsumed"] += 1
                 continue
@@ -400,16 +373,17 @@ def reachability_search(start: SymbolicState, spec: RuntimeSpec, mode: str,
             stats["max_depth_reached"] = max(stats["max_depth_reached"],
                                              pred.depth)
             if stats["states_enqueued"] >= budget.max_states:
-                return finish(INCONCLUSIVE, None, stats, t0, complete=False,
-                              reason="state budget exhausted")
+                return _finish(INCONCLUSIVE, None, stats, t0, th,
+                               complete=False,
+                               reason="state budget exhausted")
             push(child)
     if truncated or stats["incomplete_unifications"] > 0:
-        return finish(INCONCLUSIVE, None, stats, t0, complete=False,
-                      reason="depth bound reached")
+        return _finish(INCONCLUSIVE, None, stats, t0, th, complete=False,
+                       reason="depth bound reached")
     if stats["size_pruned"] > 0:
-        return finish(INCONCLUSIVE, None, stats, t0, complete=False,
-                      reason="demand size cap pruned states")
-    return finish(SECURE_FINITE, None, stats, t0, complete=True)
+        return _finish(INCONCLUSIVE, None, stats, t0, th, complete=False,
+                       reason="demand size cap pruned states")
+    return _finish(SECURE_FINITE, None, stats, t0, th, complete=True)
 
 
 def steps_left(state: SymbolicState, grammar) -> int:
@@ -468,13 +442,12 @@ def unlearnable(state: SymbolicState, grammar) -> bool:
         [f.payload for f in state.facts if f.kind == TO_LEARN])
 
 
-def _finish(verdict, node, stats, t0, complete, reason=None,
-            theory=None) -> SearchResult:
+def _finish(verdict, node, stats, t0, theory, complete,
+            reason=None) -> SearchResult:
     stats = dict(stats)
     stats["verdict"] = verdict
-    if theory is not None:
-        stats["memo_entries"] = {**theory_memo_entries(theory),
-                                 **unify_memo_entries(theory)}
+    stats["memo_entries"] = {**theory_memo_entries(theory),
+                             **unify_memo_entries(theory)}
     stats["complete"] = complete
     if reason:
         stats["reason"] = reason
@@ -490,8 +463,7 @@ def _finish(verdict, node, stats, t0, complete, reason=None,
     return SearchResult(verdict, trace, stats)
 
 
-def trace_replay(result: SearchResult, spec: RuntimeSpec, mode: str,
-                 lazy_vars: bool = True) -> bool:
+def trace_replay(result: SearchResult, spec: RuntimeSpec, mode: str) -> bool:
     """Re-derive every step of a found trace independently.
 
     Each state in the trace must be producible from its predecessor in the
@@ -515,7 +487,7 @@ def trace_replay(result: SearchResult, spec: RuntimeSpec, mode: str,
     minter = Minter()
     for prev, nxt in zip(result.trace, result.trace[1:]):
         steps = backward_successors(prev.state, spec, mode, minter,
-                                    lazy_vars=lazy_vars)
+                                    lazy_vars=True)
         want = state_key(nxt.state)
         # item for item and fact for fact; only the fresh values a step
         # mints anew may be renamed
@@ -527,7 +499,7 @@ def trace_replay(result: SearchResult, spec: RuntimeSpec, mode: str,
                                        fixed=fixed))
                    for s in steps):
             return False
-    return _goal(result.trace[-1].state, lazy_vars)
+    return _goal(result.trace[-1].state)
 
 
 def trace_to_dot(result: SearchResult) -> str:
@@ -555,7 +527,7 @@ def _state_label(state: SymbolicState) -> str:
 # ------------------------------------------------------------ comparison
 
 def _levels(start: SymbolicState, spec: RuntimeSpec, mode: str, depth: int,
-            lazy_vars: bool, view=None):
+            view=None):
     """The levels of the backward search tree to `depth`, breadth first:
     yields each level's set of state keys and its states not met before.
     `view` maps each state to the representation it is keyed by."""
@@ -567,7 +539,7 @@ def _levels(start: SymbolicState, spec: RuntimeSpec, mode: str, depth: int,
         keys, nxt = set(), []
         for st in frontier:
             for step in backward_successors(st, spec, mode, minter,
-                                            lazy_vars=lazy_vars):
+                                            lazy_vars=True):
                 k = step.key if view is None else \
                     state_key(view(step.predecessor))
                 keys.add(k)
@@ -579,22 +551,23 @@ def _levels(start: SymbolicState, spec: RuntimeSpec, mode: str, depth: int,
 
 
 def level_keys(start: SymbolicState, spec: RuntimeSpec, mode: str,
-               depth: int, view=None, lazy_vars: bool = True) -> list:
+               depth: int, view=None) -> list:
     """Per-depth sets of canonical state keys of the backward search tree.
 
     `view` optionally maps each state to a common representation before
     keying (used to compare the explicit-synchronization rules against the
     abstract composition rules through the view translation).
     """
-    return [keys for keys, _ in _levels(start, spec, mode, depth, lazy_vars,
-                                        view)]
+    return [keys for keys, _ in _levels(start, spec, mode, depth, view)]
 
 
 def level_states(start: SymbolicState, spec: RuntimeSpec, mode: str,
-                 depth: int, lazy_vars: bool = True) -> list:
-    """Per-depth lists of distinct states of the backward search tree."""
-    return [states for _, states in _levels(start, spec, mode, depth,
-                                            lazy_vars)]
+                 depth: int):
+    """Per-depth lists of distinct states of the backward search tree,
+    computed one level at a time as they are taken, so a caller may stop
+    early.  No state is pruned: this is the reference that the reductions
+    of `reachability_search` are checked against."""
+    return (states for _, states in _levels(start, spec, mode, depth))
 
 
 def bisimulation_report(abs_start: SymbolicState, abs_spec: RuntimeSpec,

@@ -110,7 +110,6 @@ def _add_strand(state: SymbolicState, inst: StrandInstance) -> SymbolicState:
 
 def backward_successors(state: SymbolicState, spec: RuntimeSpec, mode: str,
                         minter: Minter,
-                        unify_branch: int = 512,
                         stats: dict = None,
                         lazy_vars: bool = False,
                         max_fact_size: int = 0,
@@ -200,7 +199,7 @@ def backward_successors(state: SymbolicState, spec: RuntimeSpec, mode: str,
         steps.append(BackwardStep(rule, sigma, pred, made, pkey))
 
     def unifiers(t1: Term, t2: Term) -> UnifierSet:
-        us = unify_modulo(t1, t2, th, leq=leq, branch_budget=unify_branch)
+        us = unify_modulo(t1, t2, th, leq=leq)
         if stats is not None and not us.complete:
             stats["incomplete_unifications"] = \
                 stats.get("incomplete_unifications", 0) + 1

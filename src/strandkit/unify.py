@@ -30,7 +30,6 @@ from .terms import (
     variables,
 )
 from .theory import (
-    EMPTY_THEORY,
     EquationalTheory,
     _Budget,
     absorber,
@@ -67,21 +66,6 @@ class UnifierSet:
         return bool(self.unifiers)
 
 
-def syntactic_unify(t1: Term, t2: Term) -> Optional[Subst]:
-    """Most general syntactic unifier with occurs check and sort checks.
-
-    Binding a variable requires the bound term's least sort to stay below
-    the variable's sort; two variables bind toward the smaller sort.
-    """
-    sols = _solve([(t1, t2)], {}, EMPTY_THEORY, _Budget(BRANCH_BUDGET), limit=1)
-    if not sols:
-        return None
-    try:
-        return Subst(sols[0])
-    except SortClash:
-        return None
-
-
 def _bind(v: Var, t: Term, subst: dict, th: EquationalTheory) -> Optional[dict]:
     t = canon(_apply(subst, t), th)
     if isinstance(t, Var) and t == v:
@@ -97,7 +81,7 @@ def _bind(v: Var, t: Term, subst: dict, th: EquationalTheory) -> Optional[dict]:
 
 
 def _solve(eqns: list, subst: dict, th: EquationalTheory, budget: _Budget,
-           limit: Optional[int] = None, leq=None) -> list:
+           leq=None) -> list:
     """DFS over unification branches; returns solved substitution dicts."""
     if leq is None:
         leq = _default_leq
@@ -109,16 +93,12 @@ def _solve(eqns: list, subst: dict, th: EquationalTheory, budget: _Budget,
     a = canon(_apply(subst, a), th)
     b = canon(_apply(subst, b), th)
     if term_key(a) == term_key(b):
-        return _solve(rest, subst, th, budget, limit, leq)
+        return _solve(rest, subst, th, budget, leq)
     out: list = []
 
     def try_branches(branches):
         for new_subst, new_eqns in branches:
-            got = _solve(new_eqns + rest, new_subst, th, budget, limit, leq)
-            out.extend(got)
-            if limit is not None and len(out) >= limit:
-                return True
-        return False
+            out.extend(_solve(new_eqns + rest, new_subst, th, budget, leq))
 
     # Variable cases
     for x, y in ((a, b), (b, a)):
@@ -175,9 +155,8 @@ def _solve(eqns: list, subst: dict, th: EquationalTheory, budget: _Budget,
         if len(a.args) != len(b.args):
             return out
         for perm in itertools.permutations(range(len(b.args))):
-            if try_branches([(dict(subst),
-                              [(a.args[i], b.args[perm[i]]) for i in range(len(a.args))])]):
-                break
+            try_branches([(dict(subst),
+                           [(a.args[i], b.args[perm[i]]) for i in range(len(a.args))])])
         return out
     if len(a.args) != len(b.args):
         return out
@@ -185,8 +164,7 @@ def _solve(eqns: list, subst: dict, th: EquationalTheory, budget: _Budget,
     if ax is not None and ax.comm and len(b.args) == 2:
         orders = [b.args, b.args[::-1]]
     for order in orders:
-        if try_branches([(dict(subst), list(zip(a.args, order)))]):
-            break
+        try_branches([(dict(subst), list(zip(a.args, order)))])
     return out
 
 
@@ -411,7 +389,7 @@ def side_variants(t: Term, th: EquationalTheory) -> tuple:
 
 
 def unify_modulo(t1: Term, t2: Term, th: EquationalTheory,
-                 leq=None, branch_budget: int = BRANCH_BUDGET) -> UnifierSet:
+                 leq=None) -> UnifierSet:
     """A complete-up-to-bounds set of verified unifiers modulo th.
 
     The two terms may share variables.  Unifiers are restricted to the
@@ -422,20 +400,20 @@ def unify_modulo(t1: Term, t2: Term, th: EquationalTheory,
     fresh constants, since backward search poses the same problems over
     and over with freshly renamed strand instances.
     """
-    return _memoized(_unify_modulo_raw, t1, t2, th, leq, branch_budget)
+    return _memoized(_unify_modulo_raw, t1, t2, th, leq)
 
 
-def _memoized(raw, t1: Term, t2: Term, th: EquationalTheory, leq,
-              *args) -> UnifierSet:
-    """`raw(t1, t2, th, leq, *args)` memoized in th's unifier memo up to a
+def _memoized(raw, t1: Term, t2: Term, th: EquationalTheory,
+              leq) -> UnifierSet:
+    """`raw(t1, t2, th, leq)` memoized in th's unifier memo up to a
     renaming of variables and fresh constants."""
     ren = _Renaming()
     c1, c2 = ren(t1), ren(t2)
     cache = th._unify_cache
-    cache_key = (raw, c1, c2, getattr(leq, "__self__", leq)) + args
+    cache_key = (raw, c1, c2, getattr(leq, "__self__", leq))
     hit = cache.get(cache_key)
     if hit is None:
-        hit = raw(c1, c2, th, leq, *args)
+        hit = raw(c1, c2, th, leq)
         if len(cache) >= UNIFY_CACHE_CAP:
             cache.clear()
         cache[cache_key] = hit
@@ -449,7 +427,7 @@ def _memoized(raw, t1: Term, t2: Term, th: EquationalTheory, leq,
 
 
 def _unify_modulo_raw(t1: Term, t2: Term, th: EquationalTheory,
-                      leq, branch_budget: int) -> UnifierSet:
+                      leq) -> UnifierSet:
     """Unify each variant of t1 with each variant of t2 modulo the axioms.
 
     The normal form of an E-unifier factors through one variant of each
@@ -468,7 +446,7 @@ def _unify_modulo_raw(t1: Term, t2: Term, th: EquationalTheory,
             return u
         return App("%tup", (u,) + tuple(sigma(x) for x in shared), "Msg")
 
-    budget = _Budget(branch_budget)
+    budget = _Budget(BRANCH_BUDGET)
     found = []
     goals2 = [(goal(u, sigma), sigma) for u, sigma in side2]
     for u1, sigma1 in side1:
@@ -539,14 +517,6 @@ def _apart(t: Term, th: EquationalTheory) -> tuple:
     ren = {v: Var(f"%I{i}", v.sort)
            for i, v in enumerate(sorted(variables(t), key=term_key))}
     return canon(_apply(ren, t), th), {w: v for v, w in ren.items()}
-
-
-def xor_unify(t1: Term, t2: Term, th: EquationalTheory, leq=None) -> UnifierSet:
-    """Unification in the nilpotent-AC (exclusive-or) fragment: the
-    `unify_modulo` of a theory that must have a nilpotent operator."""
-    if not th.nilpotent:
-        raise ValueError("theory has no nilpotent operator")
-    return unify_modulo(t1, t2, th, leq=leq)
 
 
 def match_modulo(pattern: Term, target: Term, th: EquationalTheory,

@@ -112,6 +112,9 @@ def test_analyze_attack_found_exit_and_json(tiny, tmp_path, capsys):
     assert report["trace_replay"] is True
     schema = load_schema("verdict.schema.json")
     assert schema_check(report, schema) == []
+    # every statistic the search reports is one the schema lists
+    stats = schema["properties"]["stats"]["properties"]
+    assert set(report["stats"]) - set(stats) == set()
     # every memo the search reports is one the schema lists
     memos = schema["properties"]["stats"]["properties"]["memo_entries"]
     assert set(report["stats"]["memo_entries"]) == set(memos["properties"])
@@ -128,6 +131,24 @@ def test_analyze_inconclusive_exit(tiny, capsys):
     rc = main(["analyze", tiny, "--attack", "leak", "--mode", "basic",
                "--max-depth", "0"])
     assert rc == 20
+
+
+def test_analyze_abstract_mode_searches_like_sync(tmp_path, capsys):
+    """Attack patterns are written with synchronization points; the
+    abstract search starts from their abstract view and takes the same
+    steps as the sync search."""
+    counts = {}
+    for mode in ("abstract", "sync"):
+        out = tmp_path / mode
+        rc = main(["analyze", str(SPECS / "nsl_db.strand"), "--attack", "a1",
+                   "--mode", mode, "--max-depth", "6", "--json",
+                   "--out", str(out)])
+        assert rc == 20
+        stats = json.loads((out / "verdict.json").read_text())["stats"]
+        counts[mode] = [stats[k] for k in ("states_explored",
+                                           "states_enqueued", "subsumed",
+                                           "deduped")]
+    assert counts["abstract"] == counts["sync"]
 
 
 def test_analyze_unknown_attack_is_usage_error(tiny, capsys):

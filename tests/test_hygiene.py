@@ -42,3 +42,49 @@ def test_scan_finds_an_unused_import(tmp_path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+# top-level functions that only tests call, each kept as a reference the
+# tests check the program against
+TEST_ONLY = {
+    "is_initial": "the initial-state condition, checked against the "
+                  "predecessors backward_successors builds",
+    "level_states": "the unpruned breadth-first search the reductions of "
+                    "reachability_search are checked against",
+    "trans": "the sync view of an abstract state, the inverse that the "
+             "round-trip tests check trans_inv against",
+}
+
+
+def _unread_functions(paths) -> list:
+    """Top-level functions of the modules whose name none of them reads:
+    a name, an attribute or a name imported from a module counts as a
+    read."""
+    defined, read = [], set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined += [(path.name, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {alias.name for alias in node.names}
+    return sorted((mod, name) for mod, name in defined if name not in read)
+
+
+def test_scan_finds_an_unread_function(tmp_path):
+    a, b = tmp_path / "a.py", tmp_path / "b.py"
+    a.write_text("def used():\n    pass\n\n\ndef unused():\n    pass\n\n\n"
+                 "def called():\n    pass\n\n\nclass C:\n"
+                 "    def method(self):\n        pass\n")
+    b.write_text("import a\nfrom a import used\n\nx = a.called\n")
+    assert _unread_functions([a, b]) == [("a.py", "unused")]
+
+
+def test_only_reference_functions_go_unread():
+    unread = _unread_functions(MODULES)
+    assert sorted(name for _, name in unread) == sorted(TEST_ONLY), unread

@@ -20,7 +20,6 @@ from strandkit.model import (
     instantiate,
     is_initial,
     items_variables,
-    normalize_state,
     state_key,
 )
 from strandkit.semantics import BASIC, runtime_spec
@@ -110,7 +109,7 @@ def test_known_and_pending_same_message_is_inconsistent(spec):
     th = spec.theory
     v = Var("X", MSG)
     st = SymbolicState((), (IntruderFact(KNOWN, v), IntruderFact(TO_LEARN, v)))
-    assert normalize_state(st, th) is None
+    assert apply_subst_state(st, Subst(), th) is None
 
 
 def test_is_initial(spec):

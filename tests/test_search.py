@@ -90,8 +90,7 @@ def test_depth_budget_gives_inconclusive(nsl):
 def test_lazy_variable_demand_counts_as_satisfied(nsl):
     spec = runtime_spec(nsl, BASIC)
     start = SymbolicState((), (IntruderFact(KNOWN, Var("X", "Msg")),))
-    res = reachability_search(start, spec, BASIC, SearchBudget(max_depth=1),
-                              lazy_vars=True)
+    res = reachability_search(start, spec, BASIC, SearchBudget(max_depth=1))
     assert res.found
 
 

@@ -19,14 +19,19 @@ from strandkit.terms import (
     term_key,
     variables,
 )
-from strandkit.theory import AxiomDecl, EquationalTheory, eq_modulo, normalize
+from strandkit.theory import (
+    EMPTY_THEORY,
+    AxiomDecl,
+    EquationalTheory,
+    eq_modulo,
+    normalize,
+)
 from strandkit.unify import (
     UnifierSet,
     match_modulo,
-    syntactic_unify,
+    unify_canonical,
     unify_modulo,
     variants,
-    xor_unify,
 )
 
 ZERO = const("zero", "Msg")
@@ -52,6 +57,13 @@ def d(k, m):
 
 
 ED_TH = EquationalTheory(rules=((d(X, e(X, Z)), Z), (e(X, d(X, Z)), Z)))
+
+
+def syntactic_unify(t1, t2):
+    """The most general syntactic unifier of t1 and t2, or None."""
+    got = unify_canonical(t1, t2, EMPTY_THEORY)
+    assert len(got) <= 1
+    return got[0] if got else None
 
 
 def test_syntactic_unify_basic():
@@ -118,7 +130,7 @@ def test_unify_modulo_verifies_all_unifiers():
 
 def test_xor_unify_single_variable():
     a, b = const("na"), const("nb")
-    got = xor_unify(xor(X, b), xor(a, b), XOR_TH)
+    got = unify_modulo(xor(X, b), xor(a, b), XOR_TH)
     assert len(got) == 1
     (s,) = got.unifiers
     assert s(X) == a
@@ -126,7 +138,7 @@ def test_xor_unify_single_variable():
 
 def test_xor_unify_master_solution():
     a, b = const("na"), const("nb")
-    got = xor_unify(xor(X, Y), xor(a, b), XOR_TH)
+    got = unify_modulo(xor(X, Y), xor(a, b), XOR_TH)
     assert len(got) == 1
     (s,) = got.unifiers
     assert eq_modulo(s(xor(X, Y)), xor(a, b), XOR_TH)
@@ -134,17 +146,17 @@ def test_xor_unify_master_solution():
 
 def test_xor_unify_cancellation_to_zero():
     a = const("na")
-    got = xor_unify(xor(X, X), ZERO, XOR_TH)
+    got = unify_modulo(xor(X, X), ZERO, XOR_TH)
     assert len(got) == 1
     assert got.unifiers[0].is_identity()
-    got2 = xor_unify(xor(a, a), ZERO, XOR_TH)
+    got2 = unify_modulo(xor(a, a), ZERO, XOR_TH)
     assert got2 and got2.unifiers[0].is_identity()
 
 
 def test_xor_unify_alien_pairing():
     f = lambda t: App("f", (t,), "Msg")
     a = const("a")
-    got = xor_unify(xor(f(X), f(a)), ZERO, XOR_TH)
+    got = unify_modulo(xor(f(X), f(a)), ZERO, XOR_TH)
     assert any(s(X) == a for s in got)
 
 
