@@ -17,6 +17,8 @@ from .terms import (
     Subst,
     Term,
     Var,
+    leaves,
+    skeleton,
     term_key,
     variables,
 )
@@ -337,51 +339,17 @@ def apply_subst_state(state: SymbolicState, s: Subst,
     return SymbolicState(strands, tuple(facts), tuple(diseqs), state.depth)
 
 
-def _skeleton_key(t: Term):
-    """A term key that ignores variable and fresh-constant identity."""
-    if isinstance(t, Var):
-        return (0, "?", t.sort)
-    if isinstance(t, FreshConst):
-        return (1, "#")
-    return (2, t.op, len(t.args)) + tuple(_skeleton_key(a) for a in t.args)
-
-
-def _item_skeleton(item: Item):
+def _item_key(item: Item, key: Callable = skeleton):
     if isinstance(item, SignedMessage):
-        return ("m", item.polarity, _skeleton_key(item.payload))
+        return ("m", item.polarity, key(item.payload))
     if isinstance(item, ParamList):
-        return ("p", item.direction, tuple(_skeleton_key(t) for t in item.payload))
+        return ("p", item.direction, tuple(key(t) for t in item.payload))
     return ("s", item.direction, item.parents, item.children, item.mode,
-            tuple(_skeleton_key(t) for t in item.payload))
+            tuple(key(t) for t in item.payload))
 
 
-def _strand_skeleton(st: StrandInstance):
-    return (st.role, st.bar, tuple(_item_skeleton(it) for it in st.items))
-
-
-class _Renamer:
-    """Canonical renaming of variables and fresh constants by first use."""
-
-    def __init__(self) -> None:
-        self.vars: dict = {}
-        self.fresh: dict = {}
-
-    def key(self, t: Term):
-        if isinstance(t, Var):
-            idx = self.vars.setdefault(t, len(self.vars))
-            return (0, idx, t.sort)
-        if isinstance(t, FreshConst):
-            idx = self.fresh.setdefault(t, len(self.fresh))
-            return (1, idx)
-        return (2, t.op, len(t.args)) + tuple(self.key(a) for a in t.args)
-
-    def item_key(self, item: Item):
-        if isinstance(item, SignedMessage):
-            return ("m", item.polarity, self.key(item.payload))
-        if isinstance(item, ParamList):
-            return ("p", item.direction, tuple(self.key(t) for t in item.payload))
-        return ("s", item.direction, item.parents, item.children, item.mode,
-                tuple(self.key(t) for t in item.payload))
+def _strand_key(st: StrandInstance, key: Callable = skeleton):
+    return (st.role, st.bar, tuple(_item_key(it, key) for it in st.items))
 
 
 def state_key(state: SymbolicState, focus: Optional[int] = None,
@@ -390,28 +358,32 @@ def state_key(state: SymbolicState, focus: Optional[int] = None,
     are assumed normalized) and under renaming of variables and fresh
     constants.  Depth is not part of the key.
 
+    Strands and facts are ordered by skeleton.  Each term is keyed by its
+    skeleton and the numbers of its leaves, which number the variables
+    and fresh constants of the whole state in order of first occurrence.
+
     A strand index `focus` or a tuple of terms `marked` singles out part
-    of the state; either makes the key hold it too, renamed the same way.
+    of the state; either makes the key hold it too, numbered the same way.
     """
-    strands = sorted(state.strands, key=_strand_skeleton)
-    facts = sorted(state.facts, key=lambda f: (f.kind, _skeleton_key(f.payload)))
+    strands = sorted(state.strands, key=_strand_key)
+    facts = sorted(state.facts, key=lambda f: (f.kind, skeleton(f.payload)))
     diseqs = sorted(state.diseqs,
-                    key=lambda p: tuple(sorted((_skeleton_key(p[0]),
-                                                _skeleton_key(p[1])))))
-    ren = _Renamer()
-    skey = tuple((st.role, st.bar, tuple(ren.item_key(it) for it in st.items))
-                 for st in strands)
-    fkey = tuple((f.kind, ren.key(f.payload)) for f in facts)
-    dkey = tuple(tuple(sorted((ren.key(l), ren.key(r)))) for (l, r) in diseqs)
-    key = (skey, fkey, dkey)
+                    key=lambda p: tuple(sorted((skeleton(p[0]),
+                                                skeleton(p[1])))))
+    number: dict = {}
+
+    def key(t: Term):
+        return (skeleton(t),
+                tuple([number.setdefault(x, len(number)) for x in leaves(t)]))
+
+    whole = (tuple(_strand_key(st, key) for st in strands),
+             tuple((f.kind, key(f.payload)) for f in facts),
+             tuple(tuple(sorted((key(l), key(r)))) for (l, r) in diseqs))
     if focus is None and marked is None:
-        return key
-    fk = None
-    if focus is not None:
-        st = state.strands[focus]
-        fk = (st.role, st.bar, tuple(ren.item_key(it) for it in st.items))
-    mk = None if marked is None else frozenset(ren.key(t) for t in marked)
-    return (key, fk, mk)
+        return whole
+    fk = None if focus is None else _strand_key(state.strands[focus], key)
+    mk = None if marked is None else frozenset(key(t) for t in marked)
+    return (whole, fk, mk)
 
 
 def check_wellformed(schema: StrandSchema, signature, th: EquationalTheory) -> list:

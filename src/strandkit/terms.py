@@ -39,6 +39,7 @@ class SignatureClash(Exception):
 class Var:
     name: str
     sort: str = MSG
+    closed = False
 
     def __repr__(self) -> str:
         return f"{self.name}:{self.sort}"
@@ -54,6 +55,7 @@ class FreshConst:
 
     ident: int
     hint: str = "r"
+    closed = False
 
     @property
     def sort(self) -> str:
@@ -67,9 +69,14 @@ class App:
     """An operator application, hash-consed: at most one live node exists
     per distinct (op, args, sort), so equality is identity and the hash is
     computed once.  Nodes are immutable and shared between every term that
-    contains them."""
+    contains them.
 
-    __slots__ = ("op", "args", "sort", "_hash", "_key", "__weakref__")
+    A node is `closed` when no variable or fresh constant occurs in it.
+    Its `term_key`, `skeleton` and `leaves` are computed on first use and
+    kept; a closed node keeps only the first."""
+
+    __slots__ = ("op", "args", "sort", "closed", "_hash", "_key", "_skel",
+                 "_leaves", "__weakref__")
 
     def __new__(cls, op: str, args: tuple = (), sort: str = MSG) -> "App":
         ident = (op, args, sort)
@@ -83,8 +90,11 @@ class App:
             init(node, "op", op)
             init(node, "args", args)
             init(node, "sort", sort)
+            init(node, "closed", all(a.closed for a in args))
             init(node, "_hash", hash(ident))
             init(node, "_key", None)
+            init(node, "_skel", None)
+            init(node, "_leaves", None)
             _interned[ident] = node
         return node
 
@@ -144,6 +154,8 @@ def _collect_vars(t, out: set) -> None:
     if isinstance(t, Var):
         out.add(t)
     elif isinstance(t, App):
+        if t.closed:
+            return
         for a in t.args:
             _collect_vars(a, out)
     elif isinstance(t, (tuple, list)):
@@ -161,6 +173,8 @@ def _collect_fresh(t, out: set) -> None:
     if isinstance(t, FreshConst):
         out.add(t)
     elif isinstance(t, App):
+        if t.closed:
+            return
         for a in t.args:
             _collect_fresh(a, out)
     elif isinstance(t, (tuple, list)):
@@ -206,6 +220,39 @@ def term_key(t: Term):
         k = (2, t.op, len(t.args)) + tuple(term_key(a) for a in t.args)
         object.__setattr__(t, "_key", k)
     return k
+
+
+_FRESH_SKELETON = (1, "#")
+
+
+def skeleton(t: Term):
+    """`term_key` with every variable written as (0, "?", sort) and every
+    fresh constant as (1, "#"): the shape of t, whatever its leaves."""
+    if isinstance(t, App):
+        if t.closed:
+            return term_key(t)
+        k = t._skel
+        if k is None:
+            k = (2, t.op, len(t.args)) + tuple([skeleton(a) for a in t.args])
+            object.__setattr__(t, "_skel", k)
+        return k
+    if isinstance(t, Var):
+        return (0, "?", t.sort)
+    return _FRESH_SKELETON
+
+
+def leaves(t: Term) -> tuple:
+    """The variables and fresh constants of t in preorder, each occurrence
+    once: with `skeleton(t)` they give t back."""
+    if isinstance(t, App):
+        if t.closed:
+            return ()
+        got = t._leaves
+        if got is None:
+            got = tuple([x for a in t.args for x in leaves(a)])
+            object.__setattr__(t, "_leaves", got)
+        return got
+    return (t,)
 
 
 def term_size(t: Term) -> int:
@@ -418,9 +465,9 @@ def _apply(m: Mapping, t):
     if not m:
         return t
     if isinstance(t, App):
-        args = t.args
-        if not args:
+        if t.closed:
             return t
+        args = t.args
         new = tuple([_apply(m, a) for a in args])
         # an unchanged term is returned, not rebuilt, so it stays shared
         return t if new == args else App(t.op, new, t.sort)

@@ -8,7 +8,7 @@ oriented rules are applied by `normalize` modulo those canonical forms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import count, permutations
 from typing import Iterator, Optional, Sequence
 
 from .terms import (
@@ -72,6 +72,10 @@ class EquationalTheory:
     # how often `match_ax` matched a sum in a way that may lose matchers
     _match_gaps: list = field(default_factory=lambda: [0], init=False,
                               repr=False, compare=False)
+    # numbers the suffix each `unify._Renaming.back` gives the variables
+    # its renaming did not make
+    _back_ids: Iterator = field(default_factory=lambda: count(1),
+                                init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nilpotent", frozenset(

@@ -299,7 +299,6 @@ def _narrow_once(u: Term, sigma: Subst, th: EquationalTheory, names):
     return results
 
 
-_aux_counter = [0]
 # entry caps of each theory's unifier and variant memos; reaching its cap
 # empties a memo
 UNIFY_CACHE_CAP = 100_000
@@ -315,52 +314,55 @@ def memo_entries(th: EquationalTheory) -> dict:
 class _Renaming:
     """Renames variables to %W0, %W1, ... and fresh constants to c0, c1,
     ... in order of first occurrence, so that renamed copies of a term
-    become equal; `back` undoes it."""
+    become equal; `back` undoes it.  Closed subterms are left as they
+    are."""
 
-    __slots__ = ("vars", "fresh", "_inv")
+    __slots__ = ("th", "vars", "fresh", "_inv")
 
-    def __init__(self):
+    def __init__(self, th: EquationalTheory):
+        self.th = th
         self.vars: dict = {}
         self.fresh: dict = {}
         self._inv = None
 
     def __call__(self, t: Term) -> Term:
+        if isinstance(t, App):
+            if t.closed:
+                return t
+            return App(t.op, tuple([a if a.closed else self(a)
+                                    for a in t.args]), t.sort)
         if isinstance(t, Var):
             got = self.vars.get(t)
             if got is None:
                 got = Var(f"%W{len(self.vars)}", t.sort)
                 self.vars[t] = got
             return got
-        if isinstance(t, FreshConst):
-            got = self.fresh.get(t)
-            if got is None:
-                got = FreshConst(len(self.fresh), "c")
-                self.fresh[t] = got
-            return got
-        if isinstance(t, App) and t.args:
-            return App(t.op, tuple([self(a) for a in t.args]), t.sort)
-        return t
+        got = self.fresh.get(t)
+        if got is None:
+            got = FreshConst(len(self.fresh), "c")
+            self.fresh[t] = got
+        return got
 
     def back(self, t: Term) -> Term:
         """The original of a renamed term.  Variables the renaming did not
-        make get a suffix of their own, apart from those of every other
-        renaming's `back`."""
+        make get a suffix of their own, apart from every other renaming's
+        `back` in the same theory."""
         if self._inv is None:
-            _aux_counter[0] += 1
             self._inv = ({cv: ov for ov, cv in self.vars.items()},
                          {cf: of for of, cf in self.fresh.items()},
-                         f"%g{_aux_counter[0]}")
+                         f"%g{next(self.th._back_ids)}")
         inv_vars, inv_fresh, aux = self._inv
+        if isinstance(t, App):
+            if t.closed:
+                return t
+            return App(t.op, tuple([a if a.closed else self.back(a)
+                                    for a in t.args]), t.sort)
         if isinstance(t, Var):
             got = inv_vars.get(t)
             if got is not None:
                 return got
             return Var(f"{t.name}{aux}", t.sort)
-        if isinstance(t, FreshConst):
-            return inv_fresh.get(t, t)
-        if isinstance(t, App) and t.args:
-            return App(t.op, tuple([self.back(a) for a in t.args]), t.sort)
-        return t
+        return inv_fresh.get(t, t)
 
 
 def side_variants(t: Term, th: EquationalTheory) -> tuple:
@@ -368,9 +370,9 @@ def side_variants(t: Term, th: EquationalTheory) -> tuple:
 
     The substitutions are restricted to the variables of t, and the
     narrowing variables come back renamed apart from those of every other
-    call, so the variants of two sides never share one.
+    call in the same theory, so the variants of two sides never share one.
     """
-    ren = _Renaming()
+    ren = _Renaming(th)
     c = ren(t)
     cache = th._variant_cache
     hit = cache.get(c)
@@ -407,7 +409,7 @@ def _memoized(raw, t1: Term, t2: Term, th: EquationalTheory,
               leq) -> UnifierSet:
     """`raw(t1, t2, th, leq)` memoized in th's unifier memo up to a
     renaming of variables and fresh constants."""
-    ren = _Renaming()
+    ren = _Renaming(th)
     c1, c2 = ren(t1), ren(t2)
     cache = th._unify_cache
     cache_key = (raw, c1, c2, getattr(leq, "__self__", leq))

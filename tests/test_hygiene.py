@@ -88,3 +88,57 @@ def test_scan_finds_an_unread_function(tmp_path):
 def test_only_reference_functions_go_unread():
     unread = _unread_functions(MODULES)
     assert sorted(name for _, name in unread) == sorted(TEST_ONLY), unread
+
+
+# module-level mutable state allowed in the package, each with its reason
+MODULE_STATE = {
+    ("terms.py", "_interned"): "the hash-consing table, which must be one "
+                               "per process for equal nodes to be one node",
+}
+_MUTABLE_CALLS = {"dict", "set", "list", "count", "defaultdict", "deque",
+                  "Counter", "OrderedDict", "WeakValueDictionary",
+                  "WeakKeyDictionary", "WeakSet"}
+
+
+def _module_state(path: pathlib.Path) -> list:
+    """Module-level names, not written ALL-CAPS, bound to a mutable
+    container or a counter: a list, dict or set display or comprehension,
+    or a call of a container type or `itertools.count`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        func = value.func if isinstance(value, ast.Call) else None
+        called = func.id if isinstance(func, ast.Name) else \
+            func.attr if isinstance(func, ast.Attribute) else None
+        if not (isinstance(value, (ast.List, ast.Dict, ast.Set, ast.ListComp,
+                                   ast.DictComp, ast.SetComp))
+                or called in _MUTABLE_CALLS):
+            continue
+        out += [(node.lineno, t.id) for t in targets
+                if isinstance(t, ast.Name) and not t.id.isupper()]
+    return out
+
+
+def test_scan_finds_module_state(tmp_path):
+    mod = tmp_path / "m.py"
+    mod.write_text("import itertools\nimport weakref\n\n"
+                   "_box = [0]\ncache: dict = {}\nseen = set()\n"
+                   "_ids = itertools.count()\n"
+                   "_table = weakref.WeakValueDictionary()\n"
+                   "TABLE = {'a': 1}\n_CAP = dict(a=1)\nname = 'x'\n"
+                   "pair = (1, 2)\n\n\ndef f():\n    local = []\n"
+                   "    return local\n")
+    assert _module_state(mod) == [(4, "_box"), (5, "cache"), (6, "seen"),
+                                  (7, "_ids"), (8, "_table")]
+
+
+def test_no_module_state_but_the_allowed():
+    found = {(path.name, name) for path in MODULES
+             for _, name in _module_state(path)}
+    assert found == set(MODULE_STATE), found

@@ -23,7 +23,7 @@ from strandkit.model import (
     state_key,
 )
 from strandkit.semantics import BASIC, runtime_spec
-from strandkit.terms import FRESH, MSG, Subst, Var
+from strandkit.terms import FRESH, MSG, App, Subst, Var
 
 SPECS = pathlib.Path(__file__).resolve().parents[1] / "specs"
 
@@ -85,6 +85,21 @@ def test_state_key_distinguishes_bars(spec):
     i1 = instantiate(spec.schemas["NSL.init"], minter)
     assert state_key(SymbolicState((i1,))) != \
         state_key(SymbolicState((i1.with_bar(1),)))
+
+
+@pytest.mark.xfail(strict=True, reason="strands that tie on skeleton keep "
+                   "the order they are given in, so a fact sharing a "
+                   "variable with one of them tells the two orders apart")
+def test_state_key_is_canonical_on_skeleton_ties():
+    a, x, y = Var("A", MSG), Var("X", MSG), Var("Y", MSG)
+
+    def receive(v):
+        return StrandInstance("R", (SignedMessage("-", App("pk", (a, v))),),
+                              1)
+
+    knows_x = (IntruderFact(KNOWN, x),)
+    assert state_key(SymbolicState((receive(x), receive(y)), knows_x)) == \
+        state_key(SymbolicState((receive(y), receive(x)), knows_x))
 
 
 def test_apply_subst_collapsing_diseq_fails(spec):

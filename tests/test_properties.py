@@ -4,13 +4,26 @@ bijection."""
 import itertools
 import pathlib
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strandkit.dsl import attack_state, parse_document
-from strandkit.model import Minter, state_key
+from strandkit.model import (
+    KNOWN,
+    TO_LEARN,
+    IntruderFact,
+    Minter,
+    ParamList,
+    SignedMessage,
+    StrandInstance,
+    SymbolicState,
+    item_terms,
+    map_item,
+    state_key,
+)
 from strandkit.search import level_states
 from strandkit.semantics import ABSTRACT, SYNC, runtime_spec, trans, trans_inv
 from strandkit.terms import (
@@ -18,7 +31,10 @@ from strandkit.terms import (
     FreshConst,
     Subst,
     Var,
+    _apply,
     const,
+    fresh_constants,
+    skeleton,
     term_key,
     variables,
 )
@@ -241,3 +257,190 @@ def test_trans_bijection_on_searched_states():
         assert state_key(back) == state_key(st_)
         assert state_key(trans_inv(back, sspec)) == \
             state_key(trans_inv(st_, sspec))
+
+
+# ------------------------------------------------------- state keys
+
+KEY_VARS = [Var("X"), Var("Y"), Var("Z"), Var("N", "Nonce")]
+KEY_FRESH = [FreshConst(1, "r"), FreshConst(2, "r"), FreshConst(3, "n")]
+key_terms = st.recursive(
+    st.sampled_from(KEY_VARS + KEY_FRESH + [A_, B_]),
+    lambda kids: st.one_of(
+        st.tuples(kids, kids).map(lambda p: App("pk", p, "Msg")),
+        st.tuples(kids, kids).map(lambda p: App("pair", p, "Msg")),
+        kids.map(lambda k: App("h", (k,), "Msg"))),
+    max_leaves=5)
+key_strands = st.builds(
+    lambda role, items, cut: StrandInstance(
+        role, tuple(items), round(cut * len(items))),
+    st.sampled_from(["A", "B"]),
+    st.lists(st.builds(SignedMessage, st.sampled_from("+-"), key_terms),
+             min_size=1, max_size=3),
+    st.floats(0, 1))
+key_states = st.builds(
+    lambda strands, facts, diseqs: SymbolicState(
+        tuple(strands), tuple(facts), tuple(diseqs)),
+    st.lists(key_strands, max_size=3),
+    st.lists(st.builds(IntruderFact, st.sampled_from([KNOWN, TO_LEARN]),
+                       key_terms), max_size=3),
+    st.lists(st.tuples(key_terms, key_terms), max_size=1))
+
+
+def _state_terms(s):
+    return [t for st_ in s.strands for it in st_.items
+            for t in item_terms(it)] + [f.payload for f in s.facts] + \
+        [t for p in s.diseqs for t in p]
+
+
+def _state_vars(s):
+    return variables(tuple(_state_terms(s)))
+
+
+def _state_fresh(s):
+    return fresh_constants(tuple(_state_terms(s)))
+
+
+def _map_terms(s, m):
+    return SymbolicState(
+        tuple(replace(st_, items=tuple(map_item(it, lambda t: _apply(m, t))
+                                       for it in st_.items))
+              for st_ in s.strands),
+        tuple(IntruderFact(f.kind, _apply(m, f.payload)) for f in s.facts),
+        tuple((_apply(m, l), _apply(m, r)) for l, r in s.diseqs))
+
+
+def _shuffled_across_ties(seq, shape, perm):
+    """seq reordered by perm, except that elements of equal shape keep
+    their order among themselves."""
+    classes: dict = {}
+    for x in seq:
+        classes.setdefault(shape(x), []).append(x)
+    return tuple(classes[shape(seq[i])].pop(0) for i in perm)
+
+
+def _strand_shape(s):
+    return (s.role, s.bar, tuple((it.polarity, skeleton(it.payload))
+                                 for it in s.items))
+
+
+@settings(max_examples=300, deadline=None)
+@given(key_states, st.permutations(range(10)), st.permutations(range(10)),
+       st.randoms(use_true_random=False))
+def test_state_key_invariant_under_renaming_and_reordering(state, names,
+                                                           idents, rnd):
+    # an injective renaming onto names and idents the state does not use
+    m = {v: Var(f"V{names[i]}", v.sort) for i, v in enumerate(KEY_VARS)}
+    m.update((c, FreshConst(100 + idents[i], "c"))
+             for i, c in enumerate(KEY_FRESH))
+    renamed = _map_terms(state, m)
+    assert state_key(renamed) == state_key(state)
+    marked = tuple(f.payload for f in state.facts)
+    focus = 0 if state.strands else None
+    assert state_key(renamed, focus, tuple(_apply(m, t) for t in marked)) \
+        == state_key(state, focus, marked)
+    strands, facts = renamed.strands, renamed.facts
+    sp = rnd.sample(range(len(strands)), len(strands))
+    fp = rnd.sample(range(len(facts)), len(facts))
+    reordered = SymbolicState(
+        _shuffled_across_ties(strands, _strand_shape, sp),
+        _shuffled_across_ties(facts, lambda f: (f.kind, skeleton(f.payload)),
+                              fp), renamed.diseqs)
+    assert state_key(reordered) == state_key(state)
+
+
+def _reference_skeleton(t):
+    if isinstance(t, Var):
+        return (0, "?", t.sort)
+    if isinstance(t, FreshConst):
+        return (1, "#")
+    return (2, t.op, len(t.args)) + tuple(_reference_skeleton(a)
+                                          for a in t.args)
+
+
+class _ReferenceRenamer:
+    """Renames variables and fresh constants by first use inside a nested
+    tuple copy of each term: the state key as it was first written."""
+
+    def __init__(self):
+        self.vars, self.fresh = {}, {}
+
+    def key(self, t):
+        if isinstance(t, Var):
+            return (0, self.vars.setdefault(t, len(self.vars)), t.sort)
+        if isinstance(t, FreshConst):
+            return (1, self.fresh.setdefault(t, len(self.fresh)))
+        return (2, t.op, len(t.args)) + tuple(self.key(a) for a in t.args)
+
+    def item_key(self, item):
+        if isinstance(item, SignedMessage):
+            return ("m", item.polarity, self.key(item.payload))
+        if isinstance(item, ParamList):
+            return ("p", item.direction,
+                    tuple(self.key(t) for t in item.payload))
+        return ("s", item.direction, item.parents, item.children, item.mode,
+                tuple(self.key(t) for t in item.payload))
+
+
+def _item_shape(item):
+    if isinstance(item, SignedMessage):
+        return ("m", item.polarity, _reference_skeleton(item.payload))
+    if isinstance(item, ParamList):
+        return ("p", item.direction,
+                tuple(_reference_skeleton(t) for t in item.payload))
+    return ("s", item.direction, item.parents, item.children, item.mode,
+            tuple(_reference_skeleton(t) for t in item.payload))
+
+
+def _reference_key(state):
+    strands = sorted(state.strands, key=lambda s: (
+        s.role, s.bar, tuple(_item_shape(it) for it in s.items)))
+    facts = sorted(state.facts,
+                   key=lambda f: (f.kind, _reference_skeleton(f.payload)))
+    diseqs = sorted(state.diseqs, key=lambda p: tuple(sorted(
+        (_reference_skeleton(p[0]), _reference_skeleton(p[1])))))
+    ren = _ReferenceRenamer()
+    return (tuple((s.role, s.bar, tuple(ren.item_key(it) for it in s.items))
+                  for s in strands),
+            tuple((f.kind, ren.key(f.payload)) for f in facts),
+            tuple(tuple(sorted((ren.key(l), ren.key(r))))
+                  for l, r in diseqs))
+
+
+def _classes(states, key):
+    groups: dict = {}
+    for i, s in enumerate(states):
+        groups.setdefault(key(s), set()).add(i)
+    return {frozenset(g) for g in groups.values()}
+
+
+@pytest.mark.parametrize("fname,attack", [("nsl_kd.strand", "keyleak"),
+                                          ("nsl_db.strand", "a1")])
+def test_state_key_classes_match_the_reference_renamer(fname, attack):
+    # the states `compare` keys: the abstract search's, and the sync
+    # search's seen through trans_inv, which meet them level for level
+    doc = parse_document((SPECS / fname).read_text())
+    sync_spec = runtime_spec(doc, SYNC)
+    abs_spec = runtime_spec(doc, ABSTRACT)
+    sync_start = attack_state(doc, attack, sync_spec, Minter())
+    states = [s for level in level_states(trans_inv(sync_start, sync_spec),
+                                          abs_spec, ABSTRACT, 3)
+              for s in level]
+    states += [trans_inv(s, sync_spec)
+               for level in level_states(sync_start, sync_spec, SYNC, 3)
+               for s in level]
+    # with each, a renamed copy (same class) and a copy with two of its
+    # variables made one (same skeleton, other sharing)
+    states += [_map_terms(s, {**{v: Var(v.name + "'", v.sort)
+                                 for v in _state_vars(s)},
+                              **{c: FreshConst(c.ident + 1000, c.hint)
+                                 for c in _state_fresh(s)}})
+               for s in states]
+    for s in list(states):
+        vs = sorted(_state_vars(s), key=term_key)
+        pair = next(((v, w) for v in vs for w in vs
+                     if v != w and v.sort == w.sort), None)
+        if pair is not None:
+            states.append(_map_terms(s, {pair[1]: pair[0]}))
+    classes = _classes(states, state_key)
+    assert len(classes) < len(states)  # some states do meet
+    assert classes == _classes(states, _reference_key)
