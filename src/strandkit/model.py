@@ -9,6 +9,7 @@ disequality constraints.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
@@ -139,12 +140,18 @@ def item_terms(item: Item) -> tuple:
 
 
 def map_item(item: Item, f: Callable[[Term], Term]) -> Item:
+    """item with f applied to each of its terms; item itself when f
+    returns every one of them unchanged, so unchanged items stay shared."""
     if isinstance(item, SignedMessage):
-        return SignedMessage(item.polarity, f(item.payload))
+        t = f(item.payload)
+        return item if t is item.payload else SignedMessage(item.polarity, t)
+    payload = tuple([f(t) for t in item.payload])
+    if all(map(operator.is_, payload, item.payload)):
+        return item
     if isinstance(item, ParamList):
-        return ParamList(item.direction, tuple(f(t) for t in item.payload))
+        return ParamList(item.direction, payload)
     return SyncPoint(item.direction, item.parents, item.children, item.mode,
-                     tuple(f(t) for t in item.payload))
+                     payload)
 
 
 @dataclass(frozen=True)
@@ -306,22 +313,24 @@ def items_variables(items) -> set:
     return out
 
 
-def apply_subst_state(state: SymbolicState, s: Subst,
-                      th: EquationalTheory) -> Optional[SymbolicState]:
-    """Apply a substitution and normalize; None if a disequality collapses."""
+def apply_subst_state(state: SymbolicState, s: Subst, th: EquationalTheory,
+                      depth: Optional[int] = None) -> Optional[SymbolicState]:
+    """Apply a substitution and normalize; None if a disequality collapses.
+
+    The result is at `depth` (by default the state's own).  Every strand,
+    item and fact the substitution leaves unchanged is the state's own
+    object, so a predecessor shares all its step left alone."""
 
     def norm(t: Term) -> Term:
         return normalize(s(t), th)
 
-    strands = tuple(
-        replace(st, items=tuple(map_item(it, norm) for it in st.items))
-        for st in state.strands
-    )
+    strands = tuple(_map_strand(st, norm) for st in state.strands)
     facts = []
     seen = set()
     for f in state.facts:
-        nf = IntruderFact(f.kind, norm(f.payload))
-        key = (nf.kind, term_key(nf.payload))
+        p = norm(f.payload)
+        nf = f if p is f.payload else IntruderFact(f.kind, p)
+        key = (nf.kind, term_key(p))
         if key not in seen:
             seen.add(key)
             facts.append(nf)
@@ -336,34 +345,50 @@ def apply_subst_state(state: SymbolicState, s: Subst,
         if term_key(nl) == term_key(nr):
             return None
         diseqs.append((nl, nr))
-    return SymbolicState(strands, tuple(facts), tuple(diseqs), state.depth)
+    return SymbolicState(strands, tuple(facts), tuple(diseqs),
+                         state.depth if depth is None else depth)
 
 
-def _item_key(item: Item, key: Callable = skeleton):
+def _map_strand(st: StrandInstance, f: Callable[[Term], Term]):
+    items = tuple([map_item(it, f) for it in st.items])
+    if all(map(operator.is_, items, st.items)):
+        return st
+    return replace(st, items=items)
+
+
+def _item_key(item: Item):
     if isinstance(item, SignedMessage):
-        return ("m", item.polarity, key(item.payload))
+        return ("m", item.polarity, skeleton(item.payload))
     if isinstance(item, ParamList):
-        return ("p", item.direction, tuple(key(t) for t in item.payload))
+        return ("p", item.direction, tuple(map(skeleton, item.payload)))
     return ("s", item.direction, item.parents, item.children, item.mode,
-            tuple(key(t) for t in item.payload))
+            tuple(map(skeleton, item.payload)))
 
 
-def _strand_key(st: StrandInstance, key: Callable = skeleton):
-    return (st.role, st.bar, tuple(_item_key(it, key) for it in st.items))
+def _strand_key(st: StrandInstance):
+    return (st.role, st.bar, tuple(map(_item_key, st.items)))
 
 
 def state_key(state: SymbolicState, focus: Optional[int] = None,
-              marked: Optional[tuple] = None):
+              marked: Optional[tuple] = None) -> tuple:
     """Canonical dedup key, invariant under the structural axioms (payloads
     are assumed normalized) and under renaming of variables and fresh
     constants.  Depth is not part of the key.
 
-    Strands and facts are ordered by skeleton.  Each term is keyed by its
-    skeleton and the numbers of its leaves, which number the variables
-    and fresh constants of the whole state in order of first occurrence.
+    The key is one flat tuple.  It starts with the numbers of strands,
+    facts and disequalities.  Each strand, ordered by skeleton, gives its
+    role, bar and item count, then each item's shape: "m" and its polarity,
+    "p", its direction and payload length, or "s", its direction, parents,
+    children, mode and payload length.  Each term gives its skeleton, then
+    the numbers of its leaves, which number the variables and fresh
+    constants of the whole state in order of first occurrence; the
+    skeleton says how many numbers follow.  Each fact, ordered by kind and
+    skeleton, gives its kind and its term.  Each disequality gives the
+    encodings of its two sides, sorted, each after its length.
 
     A strand index `focus` or a tuple of terms `marked` singles out part
-    of the state; either makes the key hold it too, numbered the same way.
+    of the state; either makes the key (whole, focus strand, frozenset of
+    marked terms), numbered the same way.
     """
     strands = sorted(state.strands, key=_strand_key)
     facts = sorted(state.facts, key=lambda f: (f.kind, skeleton(f.payload)))
@@ -372,17 +397,44 @@ def state_key(state: SymbolicState, focus: Optional[int] = None,
                                                 skeleton(p[1])))))
     number: dict = {}
 
-    def key(t: Term):
-        return (skeleton(t),
-                tuple([number.setdefault(x, len(number)) for x in leaves(t)]))
+    def put_term(out: list, t: Term) -> list:
+        out.append(skeleton(t))
+        out += [number.setdefault(x, len(number)) for x in leaves(t)]
+        return out
 
-    whole = (tuple(_strand_key(st, key) for st in strands),
-             tuple((f.kind, key(f.payload)) for f in facts),
-             tuple(tuple(sorted((key(l), key(r)))) for (l, r) in diseqs))
+    def put_strand(out: list, st: StrandInstance) -> list:
+        out += (st.role, st.bar, len(st.items))
+        for it in st.items:
+            if isinstance(it, SignedMessage):
+                out += ("m", it.polarity)
+                put_term(out, it.payload)
+                continue
+            if isinstance(it, ParamList):
+                out += ("p", it.direction, len(it.payload))
+            else:
+                out += ("s", it.direction, it.parents, it.children, it.mode,
+                        len(it.payload))
+            for t in it.payload:
+                put_term(out, t)
+        return out
+
+    out = [len(strands), len(facts), len(diseqs)]
+    for st in strands:
+        put_strand(out, st)
+    for f in facts:
+        out.append(f.kind)
+        put_term(out, f.payload)
+    for (l, r) in diseqs:
+        for side in sorted((put_term([], l), put_term([], r))):
+            out.append(len(side))
+            out += side
+    whole = tuple(out)
     if focus is None and marked is None:
         return whole
-    fk = None if focus is None else _strand_key(state.strands[focus], key)
-    mk = None if marked is None else frozenset(key(t) for t in marked)
+    fk = None if focus is None else \
+        tuple(put_strand([], state.strands[focus]))
+    mk = None if marked is None else \
+        frozenset(tuple(put_term([], t)) for t in marked)
     return (whole, fk, mk)
 
 

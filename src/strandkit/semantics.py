@@ -181,7 +181,7 @@ def backward_successors(state: SymbolicState, spec: RuntimeSpec, mode: str,
                          if not (lazy_vars and isinstance(t, VarType)))
             if rule.startswith("intro_strand") and not made and not end:
                 return drop()  # a leaf waits until the end
-        pred = apply_subst_state(pred, sigma, th)
+        pred = apply_subst_state(pred, sigma, th, state.depth + 1)
         if pred is None:
             return
         if max_fact_size and any(
@@ -190,7 +190,6 @@ def backward_successors(state: SymbolicState, spec: RuntimeSpec, mode: str,
             if stats is not None:
                 stats["size_pruned"] = stats.get("size_pruned", 0) + 1
             return
-        pred = replace(pred, depth=state.depth + 1)
         pkey = state_key(pred)
         key = (rule.split(":")[0], pkey)
         if key in seen_keys:

@@ -8,7 +8,7 @@ oriented rules are applied by `normalize` modulo those canonical forms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import count, permutations
+from itertools import count, islice, permutations
 from typing import Iterator, Optional, Sequence
 
 from .terms import (
@@ -144,11 +144,22 @@ class EquationalTheory:
 
 EMPTY_THEORY = EquationalTheory()
 
-# Entry caps of the memos below: a memo that reaches its cap is emptied, so
-# a long search spends its memory on states instead.  The shipped
-# benchmark workloads stay below both.
+# Entry caps of the memos below.  The shipped benchmark workloads stay
+# below both.
 CANON_CACHE_CAP = 500_000
 NORM_CACHE_CAP = 200_000
+
+
+def memo_put(cache: dict, key, value, cap: int) -> None:
+    """Store value under key in a memo of at most cap entries.  A full memo
+    first drops its oldest entries, in insertion order: one, plus one per
+    64 of its cap, since finding the oldest entry of a dict costs a scan
+    over the slots of those dropped before it.  A hit costs nothing, as no
+    order is kept but the dict's own."""
+    if len(cache) >= cap and key not in cache:
+        for old in list(islice(cache, 1 + cap // 64)):
+            del cache[old]
+    cache[key] = value
 
 
 def canon(t: Term, th: EquationalTheory) -> Term:
@@ -160,9 +171,7 @@ def canon(t: Term, th: EquationalTheory) -> Term:
     if hit is not None:
         return hit
     out = _canon_app(t, th)
-    if len(cache) >= CANON_CACHE_CAP:
-        cache.clear()
-    cache[t] = out
+    memo_put(cache, t, out, CANON_CACHE_CAP)
     return out
 
 
@@ -388,15 +397,15 @@ def normalize(t: Term, th: EquationalTheory) -> Term:
     Normal forms are memoized per theory: backward search renormalizes the
     same payloads constantly.
     """
+    if not isinstance(t, App):
+        return t  # rules have non-variable left sides
     cache = th._norm_cache
     got = cache.get(t)
     if got is None:
         budget = _Budget(th.step_budget)
         got = _normalize(canon(t, th), th, budget)
-        if len(cache) >= NORM_CACHE_CAP:
-            cache.clear()
-        cache[t] = got
-        cache[got] = got
+        memo_put(cache, t, got, NORM_CACHE_CAP)
+        memo_put(cache, got, got, NORM_CACHE_CAP)
     return got
 
 

@@ -37,6 +37,7 @@ from .theory import (
     canon,
     eq_modulo,
     match_ax,
+    memo_put,
     normalize,
     sym_diff,
 )
@@ -299,8 +300,8 @@ def _narrow_once(u: Term, sigma: Subst, th: EquationalTheory, names):
     return results
 
 
-# entry caps of each theory's unifier and variant memos; reaching its cap
-# empties a memo
+# entry caps of each theory's unifier and variant memos (see
+# `theory.memo_put`)
 UNIFY_CACHE_CAP = 100_000
 VARIANT_CACHE_CAP = 20_000
 
@@ -380,9 +381,7 @@ def side_variants(t: Term, th: EquationalTheory) -> tuple:
         found, complete = variants(c, th)
         base = variables(c)
         hit = (tuple((u, sigma.restrict(base)) for u, sigma in found), complete)
-        if len(cache) >= VARIANT_CACHE_CAP:
-            cache.clear()
-        cache[c] = hit
+        memo_put(cache, c, hit, VARIANT_CACHE_CAP)
     found, complete = hit
     back = ren.back
     return [(back(u), Subst({back(v): back(b) for v, b in sigma.items()},
@@ -416,9 +415,7 @@ def _memoized(raw, t1: Term, t2: Term, th: EquationalTheory,
     hit = cache.get(cache_key)
     if hit is None:
         hit = raw(c1, c2, th, leq)
-        if len(cache) >= UNIFY_CACHE_CAP:
-            cache.clear()
-        cache[cache_key] = hit
+        memo_put(cache, cache_key, hit, UNIFY_CACHE_CAP)
     if not hit.unifiers:
         return hit
     # the substitutions bind only variables the renaming made

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strandkit import unify
+from strandkit import theory, unify
 from strandkit.dsl import parse_document
 from strandkit.semantics import BASIC, SYNC, runtime_spec
 from strandkit.terms import (
@@ -14,7 +14,9 @@ from strandkit.terms import (
     Var,
     const,
     positions,
+    leaves,
     replace_at,
+    skeleton,
     subterm_at,
     term_key,
     variables,
@@ -24,6 +26,7 @@ from strandkit.theory import (
     AxiomDecl,
     EquationalTheory,
     eq_modulo,
+    memo_put,
     normalize,
 )
 from strandkit.unify import (
@@ -513,3 +516,62 @@ def test_instance_check_agrees_on_xor_tuples(sum1, sum2, with_w, images,
     want = flip is None or with_w
     assert unify._is_instance_of(general, specific, pvs, XOR_TH) == want
     assert want or not _frozen_instance_of(general, specific, pvs, XOR_TH)
+
+
+def test_a_full_memo_drops_its_oldest_entry():
+    cache: dict = {}
+    for i in range(10):
+        memo_put(cache, i, -i, 4)
+        assert len(cache) == min(i + 1, 4)
+    assert list(cache) == [6, 7, 8, 9]
+    memo_put(cache, 7, -7, 4)  # a key it holds drops nothing
+    assert list(cache) == [6, 7, 8, 9]
+    assert cache.get(6) == -6  # a hit leaves the order alone
+    memo_put(cache, 10, -10, 4)
+    assert list(cache) == [7, 8, 9, 10]
+
+
+def _shape(t):
+    """t up to a renaming of its variables and fresh constants."""
+    number: dict = {}
+    return skeleton(t), tuple(number.setdefault(x, len(number))
+                              for x in leaves(t))
+
+
+CAPS = ((theory, "CANON_CACHE_CAP"), (theory, "NORM_CACHE_CAP"),
+        (unify, "UNIFY_CACHE_CAP"), (unify, "VARIANT_CACHE_CAP"))
+
+
+def _memo_answers(caps: int = 0) -> list:
+    a, b = const("a"), const("b")
+    problems = [
+        (ED_TH.rules, (), d(K, X), Y),
+        (ED_TH.rules, (), e(K, d(M, X)), e(K, Z)),
+        (ED_TH.rules, (), d(K, e(M, X)), const("m")),
+        ((), XOR_TH.axioms, xor(X, Y), xor(a, b)),
+        ((), XOR_TH.axioms, xor(X, e(K, Y)), xor(a, e(K, b))),
+        ((), XOR_TH.axioms, xor(X, Z), xor(Y, a)),
+    ]
+    themes = {}
+    out = []
+    for _ in range(2):  # the second round meets what the memos kept
+        for rules, axioms, t1, t2 in problems:
+            th = themes.setdefault((rules, axioms), EquationalTheory(
+                rules=rules, axioms=axioms))
+            got = unify_modulo(t1, t2, th)
+            vs = sorted(variables(t1) | variables(t2), key=term_key)
+            out.append((got.complete, sorted(
+                _shape(App("%tup", tuple(s(v) for v in vs))) for s in got)))
+            if caps:
+                assert len(th._canon_cache) <= caps
+                assert len(th._norm_cache) <= caps
+                assert len(th._unify_cache) <= caps
+                assert len(th._variant_cache) <= caps
+    return out
+
+
+def test_memos_at_a_small_cap_stay_there_and_answer_the_same(monkeypatch):
+    want = _memo_answers()
+    for module, name in CAPS:
+        monkeypatch.setattr(module, name, 3)
+    assert _memo_answers(3) == want
