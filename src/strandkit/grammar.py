@@ -123,11 +123,10 @@ class Grammar:
 
     # ------------------------------------------------------------ membership
 
-    def member(self, t, base: frozenset, assumed: dict = None) -> bool:
+    def member(self, t, base: frozenset, assumed: set = None) -> bool:
         """True when every instance of t lies in the language built on
-        `base`, the term keys of terms the intruder does not know.
-        `assumed` maps keys to terms taken to be irreducible in every
-        instance considered."""
+        `base`, terms the intruder does not know.  `assumed` holds terms
+        taken to be irreducible in every instance considered."""
         return any(not excl
                    for _, excl, _ in self._derivations(t, base, assumed))
 
@@ -154,9 +153,9 @@ class Grammar:
         for v, _ in found:
             if not (isinstance(v, App) and v.op == "%tup"):
                 return False
-            assumed: dict = {}
+            assumed: set = set()
             _subterms(v, assumed)
-            del assumed[term_key(v)]
+            assumed.remove(v)
             args = v.args
             if not self._condemned(args[:k], args[k:k + r], args[k + r:],
                                    assumed):
@@ -164,7 +163,7 @@ class Grammar:
         return True
 
     def _condemned(self, known, received, to_learn, assumed) -> bool:
-        base = frozenset(term_key(t) for t in to_learn)
+        base = frozenset(to_learn)
         if any(self.member(t, base, assumed) for t in received) or \
                 any(self.member(t, base, assumed) for t in known
                     if not isinstance(t, Var)):
@@ -246,9 +245,8 @@ class Grammar:
     def _derivations(self, t, base, assumed, deep=frozenset()):
         """(path, exclusions, deep) for each path along which t is in the
         language, except for the instances of the exclusions."""
-        key = term_key(t)
-        if key in base:
-            yield (), [], key in deep
+        if t in base:
+            yield (), [], t in deep
         if not isinstance(t, App) or not t.args:
             return
         if t.op in self._xor:
@@ -313,8 +311,7 @@ class Grammar:
         """No instance of t equals an instance of u (a True answer is
         always right, a False one may be too cautious)."""
         if is_ground(t) and is_ground(u):
-            return term_key(normalize(t, self.theory)) != \
-                term_key(normalize(u, self.theory))
+            return normalize(t, self.theory) != normalize(u, self.theory)
         if isinstance(t, Var) or isinstance(u, Var):
             return False
         if isinstance(t, FreshConst) and isinstance(u, FreshConst):
@@ -332,7 +329,7 @@ class Grammar:
             return True
         if isinstance(t, Var):
             return False
-        if is_ground(t) or (assumed and term_key(t) in assumed):
+        if is_ground(t) or (assumed and t in assumed):
             return True
         if self.theory.is_ac(t.op):
             return False
@@ -353,8 +350,7 @@ class Grammar:
         if not us.complete:
             return None
         return [sg for sg in us if not assumed or all(
-            term_key(normalize(sg(a), th)) == term_key(canon(sg(a), th))
-            for a in assumed.values())]
+            normalize(sg(a), th) == canon(sg(a), th) for a in assumed)]
 
     def _matches(self, pattern, t) -> bool:
         got = match_modulo(pattern, t, self.theory, leq=self.leq)
@@ -538,10 +534,9 @@ class Grammar:
             for tau in taus:
                 ranges = [tau(theta(x)) for x in msg_vars] + [tau(target)]
                 # a reducible binding has no irreducible instance at all
-                if any(term_key(normalize(r, th)) != term_key(canon(r, th))
-                       for r in ranges):
+                if any(normalize(r, th) != canon(r, th) for r in ranges):
                     continue
-                assumed: dict = {}
+                assumed: set = set()
                 for r in ranges:
                     _subterms(canon(r, th), assumed)
                 demands = [normalize(tau(theta(d)), th) for d in received]
@@ -556,9 +551,8 @@ class Grammar:
         `keep` tells which exclusions are instances the case covers."""
         if self._covered(exceptions, t, path, mode):
             return False
-        base = frozenset(term_key(x) for x in nodes)
-        deep = frozenset((term_key(nodes[-1]),)) if mode == BELOW \
-            else frozenset()
+        base = frozenset(nodes)
+        deep = frozenset((nodes[-1],)) if mode == BELOW else frozenset()
         best = None
         for d in demands:
             got = self._excluded(d, base, assumed, deep)
@@ -611,8 +605,8 @@ def _tup(terms) -> App:
     return App("%tup", tuple(terms), "Msg")
 
 
-def _subterms(t, out: dict) -> None:
+def _subterms(t, out: set) -> None:
     if isinstance(t, App) and t.args:
-        out[term_key(t)] = t
+        out.add(t)
         for a in t.args:
             _subterms(a, out)

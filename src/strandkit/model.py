@@ -18,9 +18,9 @@ from .terms import (
     Subst,
     Term,
     Var,
+    fresh_constants,
     leaves,
     skeleton,
-    term_key,
     variables,
 )
 from .theory import EquationalTheory, normalize
@@ -273,10 +273,13 @@ def is_initial(state: SymbolicState) -> bool:
 
 
 class Minter:
-    """Mints fresh constants and variable-renaming suffixes for one search."""
+    """Mints fresh constants and variable-renaming suffixes for one search.
+    Its fresh constants are numbered above those of the terms `held`, so
+    that none of them is a value the search starts from."""
 
-    def __init__(self) -> None:
-        self._fresh = itertools.count(1)
+    def __init__(self, held=()) -> None:
+        top = max((c.ident for c in fresh_constants(held)), default=0)
+        self._fresh = itertools.count(top + 1)
         self._suffix = itertools.count(1)
 
     def fresh(self, hint: str = "r") -> FreshConst:
@@ -286,12 +289,12 @@ class Minter:
         return f"i{next(self._suffix)}"
 
 
-def instantiate(schema: StrandSchema, minter: Minter, bar: int = 0,
-                bindings: Optional[Subst] = None) -> StrandInstance:
+def instantiate(schema: StrandSchema, minter: Minter,
+                bar: int = 0) -> StrandInstance:
     """Create a strand instance: mint fresh constants, rename variables.
 
     Non-fresh variables are renamed with a unique suffix so distinct
-    instances never share variables; optional bindings are applied last.
+    instances never share variables.
     """
     fresh_map = {v: minter.fresh(v.name) for v in schema.fresh}
     suffix = minter.suffix()
@@ -299,8 +302,6 @@ def instantiate(schema: StrandSchema, minter: Minter, bar: int = 0,
              for v in items_variables(schema.items) if v not in fresh_map}
     s = Subst({**fresh_map, **other}, _trusted=True)
     items = tuple(map_item(it, s) for it in schema.items)
-    if bindings is not None:
-        items = tuple(map_item(it, bindings) for it in items)
     return StrandInstance(schema.role, items, bar,
                           tuple(fresh_map[v] for v in schema.fresh))
 
@@ -325,24 +326,19 @@ def apply_subst_state(state: SymbolicState, s: Subst, th: EquationalTheory,
         return normalize(s(t), th)
 
     strands = tuple(_map_strand(st, norm) for st in state.strands)
-    facts = []
-    seen = set()
+    facts = {}  # each fact once, in order
     for f in state.facts:
         p = norm(f.payload)
         nf = f if p is f.payload else IntruderFact(f.kind, p)
-        key = (nf.kind, term_key(p))
-        if key not in seen:
-            seen.add(key)
-            facts.append(nf)
+        facts.setdefault(nf, None)
     # a fact cannot be both already-known and still-to-be-learned
-    known_keys = {term_key(f.payload) for f in facts if f.kind == KNOWN}
-    for f in facts:
-        if f.kind == TO_LEARN and term_key(f.payload) in known_keys:
-            return None
+    known = {f.payload for f in facts if f.kind == KNOWN}
+    if any(f.kind == TO_LEARN and f.payload in known for f in facts):
+        return None
     diseqs = []
     for (l, r) in state.diseqs:
         nl, nr = norm(l), norm(r)
-        if term_key(nl) == term_key(nr):
+        if nl == nr:
             return None
         diseqs.append((nl, nr))
     return SymbolicState(strands, tuple(facts), tuple(diseqs),

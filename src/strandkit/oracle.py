@@ -29,7 +29,7 @@ from .model import (
     state_key,
 )
 from .search import _state_instance_of
-from .terms import Subst, term_key, variables
+from .terms import Subst, variables
 from .theory import eq_modulo, normalize
 from .unify import match_modulo
 
@@ -154,8 +154,7 @@ def _seed_facts(scenario: Scenario, strands: tuple, th) -> tuple:
     """Every send_learn firing needs a pending fact for its payload; walk
     the firings with simulated bars to collect those payloads."""
     bars = [0] * len(strands)
-    facts: list = []
-    seen: set = set()
+    facts: dict = {}  # each fact once, in order
     for step in scenario.steps:
         for f in step.firings:
             if f.strand >= len(strands) or f.strand < 0:
@@ -166,10 +165,7 @@ def _seed_facts(scenario: Scenario, strands: tuple, th) -> tuple:
                     raise ScenarioError(f"firing {f!r}: strand already finished")
                 item = s.items[bars[f.strand]]
                 if f.rule == "send_learn" and isinstance(item, SignedMessage):
-                    key = term_key(item.payload)
-                    if key not in seen:
-                        seen.add(key)
-                        facts.append(IntruderFact(TO_LEARN, item.payload))
+                    facts.setdefault(IntruderFact(TO_LEARN, item.payload))
                 bars[f.strand] += 1
             elif f.rule in ("sync_compose", "compose_11"):
                 bars[f.strand] = len(s.items)

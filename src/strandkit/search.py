@@ -108,11 +108,10 @@ class _Node:
         self.rule = rule
         self.parent = parent
         self.focus = focus  # strand whose silent send was just undone
-        # the demands the strand introduction just undone made, and their
-        # term keys
+        # the demands the strand introduction just undone made, as a
+        # tuple and as a set
         self.demands = demands
-        self.uses = None if demands is None else \
-            frozenset(term_key(t) for t in demands)
+        self.uses = None if demands is None else frozenset(demands)
         # a focused state allows fewer steps, so it is kept apart; an
         # unfocused one has the plain key, which the caller may pass in
         self.key = key if key is not None and focus is None and \
@@ -162,9 +161,8 @@ def _units(strands, facts) -> list:
             for s in strands] + [[f.payload] for f in facts]
 
 
-def _diseq_key(l, r, th) -> tuple:
-    return tuple(sorted((term_key(normalize(l, th)),
-                         term_key(normalize(r, th)))))
+def _diseq_key(l, r, th) -> frozenset:
+    return frozenset((normalize(l, th), normalize(r, th)))
 
 
 def _state_instance_of(cand: SymbolicState, gen: SymbolicState, th, match,
@@ -230,8 +228,7 @@ def _state_instance_of(cand: SymbolicState, gen: SymbolicState, th, match,
         for pair in gen.diseqs:
             l, r = (normalize(_apply(b, t), th) for t in prep(pair))
             if _diseq_key(l, r, th) not in cand_diseqs and not (
-                    is_ground(l) and is_ground(r) and
-                    term_key(l) != term_key(r)):
+                    is_ground(l) and is_ground(r) and l != r):
                 return False
         return True
 
@@ -286,7 +283,7 @@ def reachability_search(start: SymbolicState, spec: RuntimeSpec, mode: str,
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode}")
     budget = budget or SearchBudget()
-    minter = Minter()
+    minter = Minter(_terms(start))
     t0 = time.monotonic()
     fact_cap = _default_fact_cap(spec)
     stats = {"states_explored": 0, "states_enqueued": 1, "deduped": 0,
@@ -337,7 +334,7 @@ def reachability_search(start: SymbolicState, spec: RuntimeSpec, mode: str,
             continue
         stats["states_explored"] += 1
         steps = backward_successors(state, spec, mode, minter, stats=stats,
-                                    lazy_vars=True, max_fact_size=fact_cap,
+                                    max_fact_size=fact_cap,
                                     in_order=True,
                                     xor_splits=grammar.sums_closed,
                                     focus=node.focus, uses=node.uses)
@@ -484,10 +481,9 @@ def trace_replay(result: SearchResult, spec: RuntimeSpec, mode: str) -> bool:
         return ([_layout(s) for s in state.strands],
                 [f.kind for f in state.facts], len(state.diseqs))
 
-    minter = Minter()
+    minter = Minter([t for step in result.trace for t in _terms(step.state)])
     for prev, nxt in zip(result.trace, result.trace[1:]):
-        steps = backward_successors(prev.state, spec, mode, minter,
-                                    lazy_vars=True)
+        steps = backward_successors(prev.state, spec, mode, minter)
         want = state_key(nxt.state)
         # item for item and fact for fact; only the fresh values a step
         # mints anew may be renamed
@@ -531,15 +527,14 @@ def _levels(start: SymbolicState, spec: RuntimeSpec, mode: str, depth: int,
     """The levels of the backward search tree to `depth`, breadth first:
     yields each level's set of state keys and its states not met before.
     `view` maps each state to the representation it is keyed by."""
-    minter = Minter()
+    minter = Minter(_terms(start))
     seen = {state_key(start if view is None else view(start))}
     frontier = [start]
     yield set(seen), frontier
     for _ in range(depth):
         keys, nxt = set(), []
         for st in frontier:
-            for step in backward_successors(st, spec, mode, minter,
-                                            lazy_vars=True):
+            for step in backward_successors(st, spec, mode, minter):
                 k = step.key if view is None else \
                     state_key(view(step.predecessor))
                 keys.add(k)

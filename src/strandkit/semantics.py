@@ -39,7 +39,7 @@ from .model import (
     sync_point,
 )
 from .terms import App, FRESH, IDENTITY, MSG, Signature, Subst, Term, \
-    _apply, is_ground, term_key, term_size
+    _apply, is_ground, term_size
 from .terms import Var as VarType
 from .theory import EquationalTheory, eq_modulo, normalize
 from .unify import UnifierSet, match_modulo, unify_modulo
@@ -92,9 +92,8 @@ def _with_bars(state: SymbolicState, updates: dict) -> SymbolicState:
 
 
 def _add_fact(state: SymbolicState, fact: IntruderFact) -> SymbolicState:
-    for f in state.facts:
-        if f.kind == fact.kind and term_key(f.payload) == term_key(fact.payload):
-            return state
+    if fact in state.facts:
+        return state
     return replace(state, facts=state.facts + (fact,))
 
 
@@ -111,7 +110,6 @@ def _add_strand(state: SymbolicState, inst: StrandInstance) -> SymbolicState:
 def backward_successors(state: SymbolicState, spec: RuntimeSpec, mode: str,
                         minter: Minter,
                         stats: dict = None,
-                        lazy_vars: bool = False,
                         max_fact_size: int = 0,
                         in_order: bool = False,
                         xor_splits: bool = False,
@@ -152,12 +150,12 @@ def backward_successors(state: SymbolicState, spec: RuntimeSpec, mode: str,
     values it did not receive), as `grammar.Grammar.sums_closed` checks:
     the atoms are then learned anyway and summed directly.
 
-    `uses` (with `in_order`) holds the term keys of the demands a strand
-    introduction just made; only steps that use one of them follow: a
-    step that learns one, explains it, merges a receive into it or
-    demands it again, and a silent send before such a step.  An
-    introduction commutes with every step that uses none of its demands,
-    so it can always be undone right before the first step that does.
+    `uses` (with `in_order`) holds the demands a strand introduction just
+    made; only steps that use one of them follow: a step that learns one,
+    explains it, merges a receive into it or demands it again, and a
+    silent send before such a step.  An introduction commutes with every
+    step that uses none of its demands, so it can always be undone right
+    before the first step that does.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode}")
@@ -178,7 +176,7 @@ def backward_successors(state: SymbolicState, spec: RuntimeSpec, mode: str,
                     not _uses_one(state, th, uses, sigma, fi, added):
                 return drop()
             made = tuple(t for t in (normalize(sigma(a), th) for a in added)
-                         if not (lazy_vars and isinstance(t, VarType)))
+                         if not isinstance(t, VarType))
             if rule.startswith("intro_strand") and not made and not end:
                 return drop()  # a leaf waits until the end
         pred = apply_subst_state(pred, sigma, th, state.depth + 1)
@@ -204,14 +202,10 @@ def backward_successors(state: SymbolicState, spec: RuntimeSpec, mode: str,
                 stats.get("incomplete_unifications", 0) + 1
         return us
 
-    known = [(fi, f) for fi, f in enumerate(state.facts) if f.kind == KNOWN]
-    if lazy_vars:
-        # a demand for a bare variable is trivially satisfiable by public
-        # data, so it is never used to drive explanations or merges
-        active = [(fi, f) for fi, f in known
-                  if not isinstance(f.payload, VarType)]
-    else:
-        active = known
+    # a demand for a bare variable is trivially satisfiable by public
+    # data, so it is never used to drive explanations or merges
+    active = [(fi, f) for fi, f in enumerate(state.facts)
+              if f.kind == KNOWN and not isinstance(f.payload, VarType)]
 
     pending = None
     if in_order:
@@ -302,15 +296,15 @@ def _is_send(item) -> bool:
 def _uses_one(state: SymbolicState, th: EquationalTheory, uses: frozenset,
               sigma: Subst, fi: Optional[int], added: tuple) -> bool:
     """Whether a step that learns, explains or merges into fact `fi` (if
-    any) and demands `added` under `sigma` uses a demand keyed in `uses`:
-    it acts on that fact, or demands a message that the fact becomes."""
-    if fi is not None and term_key(state.facts[fi].payload) in uses:
+    any) and demands `added` under `sigma` uses a demand in `uses`: it
+    acts on that fact, or demands a message that the fact becomes."""
+    if fi is not None and state.facts[fi].payload in uses:
         return True
     if not added:
         return False
-    mine = {term_key(normalize(sigma(f.payload), th)) for f in state.facts
-            if f.kind == KNOWN and term_key(f.payload) in uses}
-    return any(term_key(normalize(sigma(a), th)) in mine for a in added)
+    mine = {normalize(sigma(f.payload), th) for f in state.facts
+            if f.kind == KNOWN and f.payload in uses}
+    return any(normalize(sigma(a), th) in mine for a in added)
 
 
 def _atom_splits(msg: Term, demands: list, fact: Term,

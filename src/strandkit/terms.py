@@ -8,6 +8,9 @@ Applications are hash-consed (Filliatre & Conchon, "Type-safe modular
 hash-consing", 2006): building one returns the live node with the same
 operator, arguments and sort if there is one, so equal applications are
 the same object and a substitution shares every subterm it leaves alone.
+So `==` is the one equality of terms, and sets and dicts of terms need no
+other key: applications compare by identity, variables and fresh
+constants by their fields.  `term_key` only orders terms.
 """
 from __future__ import annotations
 
@@ -210,11 +213,13 @@ def replace_at(t: Term, pos: Position, u: Term) -> Term:
 
 
 def term_key(t: Term):
-    """Total order key: variables < fresh constants < applications."""
+    """Total order key: variables < fresh constants < applications.  It
+    only orders terms; two terms are equal when `==` says so, which for
+    applications is identity."""
     if isinstance(t, Var):
         return (0, t.name, t.sort)
     if isinstance(t, FreshConst):
-        return (1, t.ident)
+        return (1, t.ident, t.hint)
     k = t._key
     if k is None:
         k = (2, t.op, len(t.args)) + tuple(term_key(a) for a in t.args)

@@ -7,6 +7,7 @@ oriented rules are applied by `normalize` modulo those canonical forms.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import count, islice, permutations
 from typing import Iterator, Optional, Sequence
@@ -188,8 +189,7 @@ def _canon_app(t: App, th: EquationalTheory) -> Term:
             else:
                 flat.append(a)
         if ax.unit is not None:
-            unit_key = term_key(ax.unit)
-            flat = [a for a in flat if term_key(a) != unit_key]
+            flat = [a for a in flat if a != ax.unit]
         if ax.nilpotent:
             flat = sym_diff(flat)
         flat.sort(key=term_key)
@@ -208,14 +208,8 @@ def _canon_app(t: App, th: EquationalTheory) -> Term:
 def sym_diff(atoms: list) -> list:
     """The atoms that occur an odd number of times, in term order: what a
     sum of them leaves under a nilpotent operator."""
-    counted: dict = {}
-    for t in atoms:
-        counted.setdefault(term_key(t), [0, t])[0] += 1
-    out = []
-    for key in sorted(counted):
-        n, t = counted[key]
-        out.extend([t] * (n % 2))
-    return out
+    return sorted((t for t, n in Counter(atoms).items() if n % 2),
+                  key=term_key)
 
 
 def ac_atoms(t: Term, op: str, th: EquationalTheory) -> list:
@@ -224,7 +218,7 @@ def ac_atoms(t: Term, op: str, th: EquationalTheory) -> list:
     ax = th.axiom(op)
     if isinstance(t, App) and t.op == op:
         return list(t.args)
-    if ax is not None and ax.unit is not None and term_key(t) == term_key(ax.unit):
+    if ax is not None and t == ax.unit:
         return []
     return [t]
 
@@ -271,7 +265,7 @@ def match_ax(pattern: Term, subject: Term, th: EquationalTheory,
         binding = {}
     if isinstance(pattern, Var):
         if pattern in binding:
-            if term_key(binding[pattern]) == term_key(subject):
+            if binding[pattern] == subject:
                 yield binding
             return
         if leq is None or leq(subject.sort, pattern.sort):
@@ -349,7 +343,7 @@ def _match_ac(pats, subjs, op, sort, th, binding, leq) -> Iterator[dict]:
         for perm in permutations(range(len(subjs))):
             for b in _match_seq(pats, [subjs[i] for i in perm], th, binding,
                                 leq):
-                key = tuple(sorted((v.name, term_key(t)) for v, t in b.items()))
+                key = frozenset(b.items())
                 if key not in seen:
                     seen.add(key)
                     yield b
@@ -447,4 +441,4 @@ def _rewrite_root(t: App, th: EquationalTheory, budget: _Budget) -> Optional[Ter
 
 def eq_modulo(t1: Term, t2: Term, th: EquationalTheory) -> bool:
     """Equality modulo the full theory: normalize both sides and compare."""
-    return term_key(normalize(t1, th)) == term_key(normalize(t2, th))
+    return normalize(t1, th) == normalize(t2, th)

@@ -93,7 +93,7 @@ def _solve(eqns: list, subst: dict, th: EquationalTheory, budget: _Budget,
     (a, b), rest = eqns[0], eqns[1:]
     a = canon(_apply(subst, a), th)
     b = canon(_apply(subst, b), th)
-    if term_key(a) == term_key(b):
+    if a == b:
         return _solve(rest, subst, th, budget, leq)
     out: list = []
 
@@ -120,15 +120,16 @@ def _solve(eqns: list, subst: dict, th: EquationalTheory, budget: _Budget,
             return out
     if isinstance(a, FreshConst) or isinstance(b, FreshConst):
         return out  # unequal fresh constants (or constant vs application)
-    # Both are applications.
-    nil_op = a.op if a.op in th.nilpotent else \
-        b.op if b.op in th.nilpotent else None
-    if nil_op is not None:
+    # Both are applications.  Sums take the sort of the side that is one,
+    # whichever side of the problem that is.
+    nil = a if a.op in th.nilpotent else b if b.op in th.nilpotent else None
+    if nil is not None:
         # each candidate is a list of (left, right) constraints; a Var on
         # the left proposes a binding, anything else is a residual equation
-        atoms = sym_diff(ac_atoms(a, nil_op, th) + ac_atoms(b, nil_op, th))
+        atoms = sym_diff(ac_atoms(a, nil.op, th) + ac_atoms(b, nil.op, th))
         branches = []
-        for partial in _solve_atoms(atoms, a.sort, nil_op, th, budget, leq):
+        for partial in _solve_atoms(atoms, nil.sort, nil.op, th, budget,
+                                    leq):
             s2 = dict(subst)
             ok = True
             new_eqns = []
@@ -189,10 +190,9 @@ def _solve_atoms(atoms: list, sort: str, op: str, th: EquationalTheory,
     a0, tail = atoms[0], atoms[1:]
     seen_partner = set()
     for j, aj in enumerate(tail):
-        pk = term_key(aj)
-        if pk in seen_partner:
+        if aj in seen_partner:
             continue
-        seen_partner.add(pk)
+        seen_partner.add(aj)
         for s in _solve([(a0, aj)], {}, th, budget, leq=leq):
             remaining = [_apply(s, t) for k, t in enumerate(tail) if k != j]
             remaining = sym_diff(
@@ -221,9 +221,8 @@ def _subst_key(s: Subst):
 
 
 def _distinct(substs: list) -> list:
-    """The substitutions, each `_subst_key` once, in order of first
-    occurrence."""
-    return list({_subst_key(s): s for s in substs}.values())
+    """The substitutions, each once, in order of first occurrence."""
+    return list({frozenset(s.items()): s for s in substs}.values())
 
 
 def variants(t: Term, th: EquationalTheory, depth: int = VARIANT_DEPTH) -> tuple:
@@ -267,7 +266,7 @@ def _pair_key(u, sigma, base_vars):
                 return (0, t.name, t.sort)
             return (3, ren.setdefault(t, len(ren)), t.sort)
         if isinstance(t, FreshConst):
-            return (1, t.ident)
+            return (1, t.ident, t.hint)
         return (2, t.op, len(t.args)) + tuple(k(a) for a in t.args)
 
     ukey = k(u)

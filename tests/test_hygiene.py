@@ -142,3 +142,49 @@ def test_no_module_state_but_the_allowed():
     found = {(path.name, name) for path in MODULES
              for _, name in _module_state(path)}
     assert found == set(MODULE_STATE), found
+
+
+# the comparisons that decide equality or membership
+_EQUALITY_OPS = (ast.Eq, ast.NotEq, ast.In, ast.NotIn)
+
+
+def _key_comparisons(path: pathlib.Path) -> list:
+    """Lines where a `term_key(...)` call is an operand of `==`, `!=`,
+    `in` or `not in`.  Terms are equal when `==` says so, and `term_key`
+    only orders them."""
+    def is_key(node) -> bool:
+        func = node.func if isinstance(node, ast.Call) else None
+        return isinstance(func, ast.Name) and func.id == "term_key" or \
+            isinstance(func, ast.Attribute) and func.attr == "term_key"
+
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare):
+            continue
+        sides = [node.left] + node.comparators
+        if any(isinstance(op, _EQUALITY_OPS) and
+               (is_key(sides[i]) or is_key(sides[i + 1]))
+               for i, op in enumerate(node.ops)):
+            out.append(node.lineno)
+    return out
+
+
+def test_scan_finds_a_key_comparison(tmp_path):
+    mod = tmp_path / "m.py"
+    mod.write_text("from strandkit import terms\n"
+                   "from strandkit.terms import term_key\n\n\n"
+                   "def f(a, b, seen):\n"
+                   "    x = term_key(a) == term_key(b)\n"
+                   "    y = terms.term_key(a) != b\n"
+                   "    z = term_key(a) in seen\n"
+                   "    w = a not in {term_key(b): 1} or b in seen\n"
+                   "    v = term_key(a) < term_key(b) and a == b\n"
+                   "    u = 0 < len(term_key(a)) != 3\n"
+                   "    return sorted(seen, key=term_key), x, y, z, w, v, u\n")
+    assert _key_comparisons(mod) == [6, 7, 8]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_term_keys_only_order(path):
+    assert _key_comparisons(path) == []

@@ -109,7 +109,7 @@ def test_identity_removal(t):
 
 # every operator keeps one result sort, as in a signature
 app_terms = st.recursive(
-    st.sampled_from([A_, B_, X, Y, FreshConst(1)]),
+    st.sampled_from([A_, B_, X, Y, FreshConst(1), FreshConst(1, "n")]),
     lambda kids: st.one_of(
         st.tuples(kids, kids).map(lambda p: App("f", p, "Msg")),
         kids.map(lambda k: App("g", (k,), "Msg"))),

@@ -38,7 +38,7 @@ from strandkit.search import (
     unlearnable,
 )
 from strandkit.semantics import BASIC, SYNC, backward_successors, runtime_spec
-from strandkit.terms import App, FreshConst, Var, term_key
+from strandkit.terms import App, FreshConst, Var
 
 from test_cli import TINY
 
@@ -65,7 +65,7 @@ def _hijack_walk(spec, start, minter, grammar):
         if not rules:
             return []
         for step in backward_successors(state, spec, SYNC, minter,
-                                        lazy_vars=True, in_order=True,
+                                        in_order=True,
                                         xor_splits=grammar.sums_closed,
                                         uses=uses):
             pred = step.predecessor
@@ -74,7 +74,7 @@ def _hijack_walk(spec, start, minter, grammar):
             if unlearnable(pred, grammar):
                 continue
             # the next step must use a demand the introduction made
-            made = frozenset(map(term_key, step.demands)) \
+            made = frozenset(step.demands) \
                 if step.rule.startswith("intro_strand") and step.demands \
                 else None
             rest = walk(pred, rules[1:], made)

@@ -12,6 +12,7 @@ from strandkit.model import (
     StrandInstance,
     SymbolicState,
     instantiate,
+    is_initial,
 )
 from strandkit.search import (
     ATTACK_FOUND,
@@ -76,6 +77,23 @@ def test_unsatisfiable_demand_is_secure_finite(nsl):
     res = reachability_search(start, spec, BASIC,
                               SearchBudget(max_depth=3, max_states=5000))
     assert not res.found
+
+
+def test_search_mints_no_value_its_start_holds(nsl):
+    """The start's fresh value r!1 comes from a minter of its own, which
+    counts from 1 as a search's would.  A strand the search introduces
+    must not take r!1 for its own nonce: no NSL.init strand of a's can
+    have sent n(a, r!1) to b in one step, nor is any state one step
+    back initial."""
+    spec = runtime_spec(nsl, BASIC)
+    op = spec.signature.make
+    nonce = op("n", op("a"), Minter().fresh("r"))
+    start = SymbolicState((), (IntruderFact(
+        KNOWN, op("pk", op("b"), op(";", nonce, op("a")))),))
+    res = reachability_search(start, spec, BASIC, SearchBudget(max_depth=2))
+    assert res.verdict == INCONCLUSIVE
+    _, first = level_states(start, spec, BASIC, 1)
+    assert len(first) == 7 and not any(map(is_initial, first))
 
 
 def test_depth_budget_gives_inconclusive(nsl):

@@ -153,3 +153,13 @@ def test_eq_modulo(cancel_theory):
     m = const("m")
     assert eq_modulo(App("sk", (a, App("pk", (a, m), "Msg")), "Msg"), m, cancel_theory)
     assert not eq_modulo(m, const("m2"), cancel_theory)
+
+
+def test_fresh_values_that_share_a_number_stay_apart(xor_theory):
+    """Two fresh values minted with one number but different hints are
+    different values, so their sum does not cancel."""
+    b = const("b", "Name")
+    t1 = App("n", (b, FreshConst(2, "r")), "Nonce")
+    t2 = App("n", (b, FreshConst(2, "rp")), "Nonce")
+    assert not eq_modulo(t1, t2, xor_theory)
+    assert normalize(xor(t1, t2), xor_theory) != ZERO

@@ -207,6 +207,22 @@ def test_match_modulo_sum_of_variables():
     assert any(eq_modulo(s(pat), a, th) for s in match_modulo(pat, a, th))
 
 
+def test_a_sum_takes_the_sort_of_its_own_side():
+    """n(b, r!1) =? A1:Nonce * M under the nsl_db theory has the one
+    well-sorted unifier M -> A1 * n(b, r!1), whichever side the sum is
+    on: A1 cannot take a sum, which has sort Msg."""
+    spec = runtime_spec(parse_document((SPECS / "nsl_db.strand").read_text()),
+                        SYNC)
+    op, leq = spec.signature.make, spec.signature.leq
+    nonce = op("n", op("b"), FreshConst(1))
+    total = op("*", Var("A1", "Nonce"), M)
+    want = normalize(op("*", Var("A1", "Nonce"), nonce), spec.theory)
+    for t1, t2 in ((nonce, total), (total, nonce)):
+        got = unify_modulo(t1, t2, spec.theory, leq=leq)
+        assert got.complete and [dict(s) for s in got] == [{M: want}]
+        assert all(leq(t.sort, v.sort) for s in got for v, t in s.items())
+
+
 def _h(*args):
     return App("h", args, "Msg")
 
