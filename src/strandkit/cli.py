@@ -36,7 +36,8 @@ from .search import (
     trace_replay,
     trace_to_dot,
 )
-from .semantics import ABSTRACT, MODES, SYNC, runtime_spec, trans_inv
+from .semantics import ABSTRACT, MODES, SYNC, runtime_spec
+from .theory import StepBudgetExceeded
 
 EXIT_OK = 0
 EXIT_ATTACK = 10
@@ -49,7 +50,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SpecError, ScenarioError, UnknownComposition, KeyError) as exc:
+    except (SpecError, ScenarioError, UnknownComposition, KeyError,
+            StepBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
@@ -145,9 +147,6 @@ def cmd_analyze(args) -> int:
     doc = parse_document(_read(args.file))
     spec = runtime_spec(doc, args.mode)
     start = attack_state(doc, args.attack, spec, Minter())
-    if args.mode == ABSTRACT:
-        # attack patterns are built with synchronization points
-        start = trans_inv(start, spec)
     budget = SearchBudget(max_depth=args.max_depth, max_states=args.max_states,
                           wall_seconds=args.wall_seconds,
                           max_rss_mb=args.max_rss_mb)
@@ -205,7 +204,7 @@ def cmd_compare(args) -> int:
     sync_spec = runtime_spec(doc, SYNC)
     abs_spec = runtime_spec(doc, ABSTRACT)
     sync_start = attack_state(doc, args.attack, sync_spec, Minter())
-    abs_start = trans_inv(sync_start, sync_spec)
+    abs_start = attack_state(doc, args.attack, abs_spec, Minter())
     report = bisimulation_report(abs_start, abs_spec, sync_start, sync_spec,
                                  args.depth)
     if args.json or args.out:

@@ -929,7 +929,8 @@ def _fresh_msg_var(vars_: dict, base: str, sort: str) -> Var:
 
 def attack_state(doc: Document, attack_name: str, spec: ProtocolSpec,
                  minter: Minter, th: Optional[EquationalTheory] = None) -> SymbolicState:
-    """Build the symbolic pattern state an analysis starts from."""
+    """Build the symbolic pattern state an analysis starts from, with
+    parameter lists where the role's schema in spec has them."""
     if attack_name not in doc.attacks:
         raise KeyError(f"no attack named {attack_name}")
     atk = doc.attacks[attack_name]
@@ -941,12 +942,16 @@ def attack_state(doc: Document, attack_name: str, spec: ProtocolSpec,
     for (role, past, future) in atk.strands:
         if role not in spec.schemas:
             raise SpecError(0, 0, "E030", f"attack strand role {role} unknown")
+        params = {it.direction for it in spec.schemas[role].items
+                  if isinstance(it, ParamList)}
         items = []
         for it in past + future:
             it = map_item(it, lambda t: normalize(s(t), th))
             if isinstance(it, SyncPoint):
                 # the parsed form omits the strand's own role
-                if it.direction == "in" and not it.children:
+                if it.direction in params:
+                    it = ParamList(it.direction, it.payload)
+                elif it.direction == "in" and not it.children:
                     it = replace(it, children=(role,))
                 elif it.direction == "out" and not it.parents:
                     it = replace(it, parents=(role,))

@@ -146,11 +146,8 @@ class Grammar:
         if all(self._rigid(t, None) for t in parts if not isinstance(t, Var)) \
                 or any(self._open_sum(t) for t in parts):
             return False  # nothing to split on, or too costly to split
-        found, complete = side_variants(_tup(parts), self.theory)
-        if not complete:
-            return False
         k, r = len(known), len(received)
-        for v, _ in found:
+        for v, _ in side_variants(_tup(parts), self.theory):
             if not (isinstance(v, App) and v.op == "%tup"):
                 return False
             assumed: set = set()
@@ -521,12 +518,9 @@ class Grammar:
         irreducible instance of msg is an instance of target; None when
         they cannot all be enumerated."""
         th = self.theory
-        found, complete = side_variants(msg, th)
-        if not complete:
-            return None
         out = []
         msg_vars = variables(msg)
-        for mv, theta in found:
+        for mv, theta in side_variants(msg, th):
             budget = _Budget(BRANCH_BUDGET)
             taus = unify_canonical(mv, target, th, leq=self.leq, budget=budget)
             if budget.blown:

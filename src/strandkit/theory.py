@@ -25,7 +25,7 @@ from .terms import (
 
 
 class StepBudgetExceeded(Exception):
-    """Normalization did not reach a normal form within the step budget."""
+    """Normalization or variant narrowing ran out of the step budget."""
 
 
 class IrregularRule(Exception):

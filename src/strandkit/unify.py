@@ -1,9 +1,10 @@
 """Unification: syntactic, modulo structural axioms, and modulo rules.
 
 The combined procedure follows the variant route: narrow each side with
-the oriented rules to a bounded depth, once per theory and up to renaming
-(`side_variants`), then unify every pair of variants modulo the structural
-axioms, together with the images of the variables the sides share.
+the oriented rules until no new variant appears, once per theory and up
+to renaming (`side_variants`), then unify every pair of variants modulo
+the structural axioms, together with the images of the variables the
+sides share.
 Exclusive-or subproblems go to a dedicated nilpotent-AC solver.  Every
 candidate is verified by substitute, normalize and compare before it is
 reported, so soundness never depends on the solver internals.  Matching
@@ -31,6 +32,7 @@ from .terms import (
 )
 from .theory import (
     EquationalTheory,
+    StepBudgetExceeded,
     _Budget,
     absorber,
     ac_atoms,
@@ -42,7 +44,6 @@ from .theory import (
     sym_diff,
 )
 
-VARIANT_DEPTH = 5
 BRANCH_BUDGET = 512
 
 
@@ -50,8 +51,9 @@ BRANCH_BUDGET = 512
 class UnifierSet:
     """A set of verified unifiers plus a completeness flag.
 
-    `complete` is False when a search bound (variant depth, branch budget)
-    was hit, meaning further unifiers may exist.
+    `complete` is False when the axiom solver's branch budget ran out, or
+    when `theory.match_ax` counted a gap, meaning further unifiers may
+    exist.
     """
 
     unifiers: tuple = ()
@@ -225,35 +227,41 @@ def _distinct(substs: list) -> list:
     return list({frozenset(s.items()): s for s in substs}.values())
 
 
-def variants(t: Term, th: EquationalTheory, depth: int = VARIANT_DEPTH) -> tuple:
-    """Bounded folding variant narrowing: pairs (variant, substitution).
+def variants(t: Term, th: EquationalTheory) -> list:
+    """Variant narrowing: pairs (variant, substitution) up to renaming.
 
-    Returns (variant_list, complete) where complete is False if the depth
-    bound cut narrowing short.  This narrows afresh on every call;
+    Each substitution is restricted to the variables of t and its ranges
+    are normalized, so a theory with finite variants runs out of new ones
+    and narrowing ends by itself.  Every narrowing step is charged to
+    th.step_budget; a theory without finite variants raises
+    StepBudgetExceeded.  This narrows afresh on every call;
     `side_variants` is the memoized entry point that unification uses.
     The narrowing variables are numbered per call, so the variants of a
     term do not depend on what ran before.
     """
     base_vars = variables(t)
     nf = normalize(t, th)
-    seen = {(_pair_key(nf, IDENTITY, base_vars)): None}
+    seen = {_pair_key(nf, IDENTITY, base_vars)}
     frontier = [(nf, IDENTITY)]
     out = [(nf, IDENTITY)]
     names = itertools.count(1)
-    for _ in range(depth):
+    budget = _Budget(th.step_budget)
+    while frontier:
         new_frontier = []
         for (u, sigma) in frontier:
             for (u2, sigma2) in _narrow_once(u, sigma, th, names):
+                if not budget.spend():
+                    raise StepBudgetExceeded("variant step budget exhausted")
+                sigma2 = Subst({x: normalize(sigma2(x), th) for x in base_vars},
+                               _trusted=True)
                 key = _pair_key(u2, sigma2, base_vars)
                 if key in seen:
                     continue
-                seen[key] = None
+                seen.add(key)
                 new_frontier.append((u2, sigma2))
                 out.append((u2, sigma2))
         frontier = new_frontier
-        if not frontier:
-            break
-    return out, not frontier
+    return out
 
 
 def _pair_key(u, sigma, base_vars):
@@ -365,32 +373,30 @@ class _Renaming:
         return inv_fresh.get(t, t)
 
 
-def side_variants(t: Term, th: EquationalTheory) -> tuple:
+def side_variants(t: Term, th: EquationalTheory) -> list:
     """`variants(t, th)`, memoized per theory up to renaming.
 
-    The substitutions are restricted to the variables of t, and the
-    narrowing variables come back renamed apart from those of every other
-    call in the same theory, so the variants of two sides never share one.
+    The narrowing variables come back renamed apart from those of every
+    other call in the same theory, so the variants of two sides never
+    share one.
     """
     ren = _Renaming(th)
     c = ren(t)
     cache = th._variant_cache
     hit = cache.get(c)
     if hit is None:
-        found, complete = variants(c, th)
-        base = variables(c)
-        hit = (tuple((u, sigma.restrict(base)) for u, sigma in found), complete)
+        hit = tuple(variants(c, th))
         memo_put(cache, c, hit, VARIANT_CACHE_CAP)
-    found, complete = hit
     back = ren.back
     return [(back(u), Subst({back(v): back(b) for v, b in sigma.items()},
                             _trusted=True))
-            for u, sigma in found], complete
+            for u, sigma in hit]
 
 
 def unify_modulo(t1: Term, t2: Term, th: EquationalTheory,
                  leq=None) -> UnifierSet:
-    """A complete-up-to-bounds set of verified unifiers modulo th.
+    """A set of verified unifiers modulo th, complete unless the branch
+    budget of the axiom solver ran out.
 
     The two terms may share variables.  Unifiers are restricted to the
     variables of the problem, verified by substitute-normalize-compare,
@@ -435,8 +441,7 @@ def _unify_modulo_raw(t1: Term, t2: Term, th: EquationalTheory,
     """
     vars1, vars2 = variables(t1), variables(t2)
     problem_vars = vars1 | vars2
-    side1, complete1 = side_variants(t1, th)
-    side2, complete2 = side_variants(t2, th)
+    side1, side2 = side_variants(t1, th), side_variants(t2, th)
     shared = sorted(vars1 & vars2, key=term_key)
 
     def goal(u, sigma):
@@ -456,10 +461,9 @@ def _unify_modulo_raw(t1: Term, t2: Term, th: EquationalTheory,
                 cand = _deflate(Subst(m), problem_vars)
                 if eq_modulo(cand(t1), cand(t2), th):
                     found.append(cand)
-    complete = complete1 and complete2 and not budget.blown
-    minimized = _minimize(_distinct(found), problem_vars, th)
-    minimized.sort(key=_subst_key)
-    return UnifierSet(tuple(minimized), complete)
+    minimized = sorted(_minimize(_distinct(found), problem_vars, th),
+                       key=_subst_key)
+    return UnifierSet(tuple(minimized), not budget.blown)
 
 
 def _deflate(s: Subst, problem_vars: set) -> Subst:
@@ -542,18 +546,17 @@ def _match_modulo_raw(pattern: Term, target: Term, th: EquationalTheory,
     """Match each variant of the pattern (`side_variants`), renamed apart
     from the target, against the target's normal form (`theory.match_ax`);
     keep the matchers that normalize and compare equal.  Incomplete where
-    the variants are, or where `match_ax` counted a gap."""
+    `match_ax` counted a gap."""
     pat, back = _apart(pattern, th)
     subject = normalize(target, th)
     fixed = back.keys() | variables(subject)  # others come from narrowing
-    found, complete = side_variants(pat, th)
     gaps, out = th._match_gaps[0], []
-    for u, sigma in found:
+    for u, sigma in side_variants(pat, th):
         for b in match_ax(canon(u, th), subject, th, leq=leq):
             cand = _deflate(Subst({x: normalize(_apply(b, sigma(x)), th)
                                    for x in back}, _trusted=True), fixed)
             if normalize(cand(pat), th) == subject:
                 out.append(Subst({back[x]: _apply(back, t)
                                   for x, t in cand.items()}, _trusted=True))
-    complete = complete and th._match_gaps[0] == gaps
-    return UnifierSet(tuple(sorted(_distinct(out), key=_subst_key)), complete)
+    return UnifierSet(tuple(sorted(_distinct(out), key=_subst_key)),
+                      th._match_gaps[0] == gaps)

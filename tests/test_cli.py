@@ -151,6 +151,43 @@ def test_analyze_abstract_mode_searches_like_sync(tmp_path, capsys):
     assert counts["abstract"] == counts["sync"]
 
 
+def test_analyze_abstract_mode_finds_the_hijack(tmp_path):
+    """The abstract search starts from the attack pattern built with
+    parameter lists and finds distance hijacking at criterion 03's depth."""
+    out = tmp_path / "rep"
+    rc = main(["analyze", str(SPECS / "nsl_db.strand"), "--attack", "a1",
+               "--mode", "abstract", "--max-depth", "17",
+               "--max-states", "100000", "--wall-seconds", "1800",
+               "--max-rss-mb", "2048", "--json", "--out", str(out)])
+    assert rc == 10
+    report = json.loads((out / "verdict.json").read_text())
+    assert report["verdict"] == "AttackFound"
+    assert report["stats"]["depth"] == 17
+    assert report["trace_replay"] is True
+
+
+def test_analyze_step_budget_is_an_error(tmp_path, capsys):
+    # f(X) -> f(X) never reaches a normal form
+    loop = tmp_path / "loop.strand"
+    loop.write_text("""
+protocol Loop {
+  op f : Msg -> Msg ;
+  op a : -> Msg ;
+  vars X : Msg ;
+  eq f(X) = f(X) ;
+  strand int.f {
+    -(X) ; +(f(X)) ;
+  }
+}
+attack leak {
+  knows f(a) ;
+}
+""")
+    rc = main(["analyze", str(loop), "--attack", "leak", "--mode", "basic"])
+    assert rc == 1
+    assert "error: rewrite step budget exhausted" in capsys.readouterr().err
+
+
 def test_analyze_unknown_attack_is_usage_error(tiny, capsys):
     rc = main(["analyze", tiny, "--attack", "nope", "--mode", "basic"])
     assert rc == 1

@@ -13,7 +13,7 @@ from strandkit.oracle import (
     load_scenario,
     replay_scenario,
 )
-from strandkit.semantics import SYNC, runtime_spec
+from strandkit.semantics import ABSTRACT, SYNC, runtime_spec
 
 SPECS = pathlib.Path(__file__).resolve().parents[1] / "specs"
 SCENARIO = SPECS / "scenarios" / "distance_hijacking.json"
@@ -51,9 +51,19 @@ def test_start_state_is_ground_and_seeded(nsl_db, hijack):
     assert st.facts and all(f.kind != KNOWN for f in st.facts)
 
 
-def test_hijack_replays_and_instantiates(nsl_db, hijack):
-    spec = runtime_spec(nsl_db, SYNC)
-    res = replay_scenario(hijack, spec, SYNC)
+# the abstract rules that take the place of the sync ones
+ABSTRACT_RULES = {"sync_compose": "compose_11", "sync_1many": "compose_1many"}
+
+
+@pytest.mark.parametrize("mode", [SYNC, ABSTRACT])
+def test_hijack_replays_and_instantiates(nsl_db, mode):
+    scenario = json.loads(SCENARIO.read_text())
+    if mode == ABSTRACT:
+        for step in scenario["steps"]:
+            step["fire"] = [[ABSTRACT_RULES.get(f[0], f[0]), *f[1:]]
+                            for f in step["fire"]]
+    spec = runtime_spec(nsl_db, mode)
+    res = replay_scenario(load_scenario(json.dumps(scenario)), spec, mode)
     assert res.valid, (res.failed_at, res.reason)
     pattern = attack_state(nsl_db, "a0", spec, Minter())
     assert instantiates_pattern(res.state, pattern, spec)

@@ -25,6 +25,7 @@ from strandkit.theory import (
     EMPTY_THEORY,
     AxiomDecl,
     EquationalTheory,
+    StepBudgetExceeded,
     eq_modulo,
     memo_put,
     normalize,
@@ -97,8 +98,7 @@ def test_fresh_constants_unify_only_with_themselves():
 
 def test_variants_of_decrypt():
     t = d(K, X)
-    vs, complete = variants(t, ED_TH)
-    assert complete
+    vs = variants(t, ED_TH)
     # the identity variant plus the collapse where X is an encryption
     assert len(vs) == 2
     terms = {term_key(v) for v, _ in vs}
@@ -268,9 +268,9 @@ def _narrow_everywhere(u, sigma, th, names):
 
 
 def _variant_keys(t, th):
-    vs, complete = variants(t, th, 2)
+    vs = variants(t, th)
     base = variables(t)
-    return {unify._pair_key(u, s, base) for u, s in vs}, complete
+    return {unify._pair_key(u, s, base) for u, s in vs}
 
 
 def _spec_theories():
@@ -320,12 +320,41 @@ def test_variants_match_narrowing_at_every_position(name, monkeypatch):
     monkeypatch.setattr(unify, "_narrow_once", _narrow_everywhere)
     want = _variant_keys(t, th)
     assert got == want
-    assert len(want[0]) > 1  # some rule applies
+    assert len(want) > 1  # some rule applies
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_variants_of_pk_sk_nests_are_finite(n):
+    """sk(A1, pk(A2, sk(A3, ... X))) has 2**n variants: each cancellation
+    is in or out.  Narrowing ends by itself, with normalized
+    substitutions."""
+    (nsl, nsl_op), _, _ = _spec_theories()
+    t = X
+    for i in range(n):
+        t = nsl_op("pk" if i % 2 else "sk", Var(f"A{i}", "Name"), t)
+    vs = variants(t, nsl)
+    assert len(vs) == 2 ** n
+    for u, s in vs:
+        assert normalize(s(t), nsl) == u
+
+
+def test_variants_without_finite_variants_exhaust_the_budget():
+    # plus(X, Y) narrows to s(plus(X, Y1)), s(s(plus(X, Y2))), ...
+    def plus(a, b):
+        return App("plus", (a, b), "Msg")
+
+    def s(a):
+        return App("s", (a,), "Msg")
+
+    th = EquationalTheory(rules=((plus(X, s(Y)), s(plus(X, Y))),),
+                          step_budget=50)
+    with pytest.raises(StepBudgetExceeded):
+        variants(plus(X, Y), th)
 
 
 def test_sum_narrows_against_pk_sk():
     th, t = SPEC_TERMS["db-sum"]
-    vs, _ = variants(t, th, 1)
+    vs = variants(t, th)
     # X * n(a, r) narrowed with sk(A, pk(A, M)) -> M gives the variant M
     assert any(isinstance(u, Var) for u, _ in vs)
 
@@ -334,7 +363,7 @@ def _pair_narrowing_unifiers(t1, t2, th):
     """Reference unifier set: narrow %pair(t1, t2) as one term, then unify
     the two components of each variant modulo the axioms."""
     problem_vars = variables(t1) | variables(t2)
-    found, complete = variants(App("%pair", (t1, t2), "Msg"), th)
+    found = variants(App("%pair", (t1, t2), "Msg"), th)
     budget = unify._Budget(unify.BRANCH_BUDGET)
     out, seen = [], set()
     for u, sigma in found:
@@ -347,8 +376,7 @@ def _pair_narrowing_unifiers(t1, t2, th):
             if eq_modulo(cand(t1), cand(t2), th) and key not in seen:
                 seen.add(key)
                 out.append(cand)
-    return (unify._minimize(out, problem_vars, th),
-            complete and not budget.blown)
+    return unify._minimize(out, problem_vars, th), not budget.blown
 
 
 def _unify_problems():
@@ -414,15 +442,15 @@ def test_shared_variable_problems_have_unifiers():
 def test_renamed_sides_narrow_once(monkeypatch):
     calls = []
 
-    def counted(t, th, depth=unify.VARIANT_DEPTH):
+    def counted(t, th):
         calls.append(t)
-        return variants(t, th, depth)
+        return variants(t, th)
 
     monkeypatch.setattr(unify, "variants", counted)
     th = EquationalTheory(rules=ED_TH.rules)  # a memo of its own
     K2, X2 = Var("K2"), Var("X2")
-    first, _ = unify.side_variants(d(K, X), th)
-    second, _ = unify.side_variants(d(K2, X2), th)
+    first = unify.side_variants(d(K, X), th)
+    second = unify.side_variants(d(K2, X2), th)
     assert len(calls) == 1
     assert {v for _, s in first for v in s} == {K, X}
     assert {v for _, s in second for v in s} == {K2, X2}
@@ -439,9 +467,9 @@ def test_renamed_sides_narrow_once(monkeypatch):
 def test_renamed_match_problems_narrow_once(monkeypatch):
     calls = []
 
-    def counted(t, th, depth=unify.VARIANT_DEPTH):
+    def counted(t, th):
         calls.append(t)
-        return variants(t, th, depth)
+        return variants(t, th)
 
     monkeypatch.setattr(unify, "variants", counted)
     th = EquationalTheory(rules=ED_TH.rules)  # a memo of its own
