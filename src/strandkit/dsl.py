@@ -154,6 +154,28 @@ class Document:
     triples: list  # (parent role, child role, mode)
     attacks: dict  # name -> AttackDef
     diagnostics: list = field(default_factory=list)
+    # the protocols' merged signature and theory, built on first use and
+    # shared by every spec made from the document, so that they share the
+    # theory's memos as well
+    _signature: Optional[Signature] = field(default=None, compare=False,
+                                            repr=False)
+    _theory: Optional[EquationalTheory] = field(default=None, compare=False,
+                                                repr=False)
+
+    def signature(self) -> Signature:
+        """The signature of all protocols merged (raises SignatureClash)."""
+        if self._signature is None:
+            self._signature = _merged_signature(self.protocols)
+        return self._signature
+
+    def theory(self) -> EquationalTheory:
+        """The theory of all protocols merged (raises IrregularRule)."""
+        if self._theory is None:
+            th = EquationalTheory()
+            for proto in self.protocols:
+                th = th.merge(proto.theory)
+            self._theory = th
+        return self._theory
 
 
 def builtin_signature() -> Signature:
@@ -229,23 +251,25 @@ def parse_document(src: str) -> Document:
 
 
 def _merged_env(protocols: list) -> _Env:
+    return _Env(_merged_signature(protocols), _merged_vars(protocols), {})
+
+
+def _merged_signature(protocols: list) -> Signature:
     sig = builtin_signature()
-    vars_: dict = {}
     for proto in protocols:
         sig = sig.merge(proto.signature)
+    return sig
+
+
+def _merged_vars(protocols: list) -> dict:
+    vars_: dict = {}
+    for proto in protocols:
         for name, v in proto.vars.items():
             if name in vars_ and vars_[name] != v:
                 raise SpecError(0, 0, "E011",
                                 f"variable {name} declared with two sorts")
             vars_[name] = v
-    return _Env(sig, vars_, {})
-
-
-def merged_theory(protocols: list) -> EquationalTheory:
-    th = EquationalTheory()
-    for proto in protocols:
-        th = th.merge(proto.theory)
-    return th
+    return vars_
 
 
 def _parse_protocol(p: _Parser, previous: list) -> ProtocolSpec:
@@ -713,12 +737,13 @@ def validate_composition(doc: Document) -> list:
         diags.append(Diagnostic(0, 0, code, msg))
 
     try:
-        merged = _merged_env(doc.protocols)
+        sig = doc.signature()
+        _merged_vars(doc.protocols)
     except (SignatureClash, SpecError) as exc:
         diag("E020", f"signature clash: {exc}")
         return diags
     try:
-        th = merged_theory(doc.protocols)
+        th = doc.theory()
     except IrregularRule as exc:
         diag("E021", f"theory clash: {exc}")
         return diags
@@ -753,7 +778,7 @@ def validate_composition(doc: Document) -> list:
         out_t = App("%tup", tuple(out_item.payload), MSG)
         in_t = App("%tup", tuple(in_item.payload), MSG)
         in_t, _ = rename_all(in_t, "c")
-        if not unify_modulo(out_t, in_t, th, leq=merged.sig.leq):
+        if not unify_modulo(out_t, in_t, th, leq=sig.leq):
             diag("E026", f"{parent} -> {child}: no parameter matcher exists")
     for side, idx in (("parent", 0), ("child", 1)):
         modes: dict = {}
@@ -776,25 +801,23 @@ def validate_composition(doc: Document) -> list:
     for proto in doc.protocols:
         for sch in proto.schemas.values():
             diags.extend(Diagnostic(0, 0, "E029", msg)
-                         for msg in check_wellformed(sch, merged.sig, th))
+                         for msg in check_wellformed(sch, sig, th))
     return diags
 
 
 def merge_protocols(doc: Document, name: str) -> ProtocolSpec:
-    sig = builtin_signature()
+    sig = doc.signature()
     vars_: dict = {}
     schemas: dict = {}
     order: list = []
     for proto in doc.protocols:
-        sig = sig.merge(proto.signature)
         vars_.update(proto.vars)
         for role in proto.role_order:
             if role in schemas:
                 raise SpecError(0, 0, "E022", f"role {role} defined twice")
             schemas[role] = proto.schemas[role]
             order.append(role)
-    return ProtocolSpec(name, sig, merged_theory(doc.protocols), vars_,
-                        schemas, order)
+    return ProtocolSpec(name, sig, doc.theory(), vars_, schemas, order)
 
 
 def synch_transform(doc: Document) -> ProtocolSpec:

@@ -22,7 +22,18 @@ Wherever a send can produce a term of a production, or an atom of a sum,
 along some path without having received a term of the language first, the
 produced shape becomes an exception for that path.  A send that only sums
 messages it received needs none: every atom of its result is an atom of one
-of them.  Refinement repeats until nothing changes.
+of them.
+
+Refinement is a worklist over tasks, one per (production, send) pair and
+one per send for the atoms, taken round by round in a fixed order until a
+round adds nothing.  A task records the exception lists it read (the
+production lists and the atom list its derivations consulted, and its own
+list) and their lengths when it ended.  Exception lists only grow, so a
+task whose last run added nothing is skipped until one of those lists has
+grown: run again, it would read the same lists and add nothing again.  The
+cases of a send, the ways its irreducible instances produce a term of a
+generator, are computed once per (generator, send), and matching and
+unification problems that recur on them are memoized for the closure only.
 
 At the fixpoint the language is closed: the intruder learns one of its
 terms only by having known another before.  A backward path to an initial
@@ -38,6 +49,7 @@ rewritten in an instance, the check is made on each variant instead.
 from __future__ import annotations
 
 import itertools
+import time
 
 from .model import SignedMessage, map_item
 from .semantics import _interface, _parent_roles
@@ -68,6 +80,8 @@ ATOM = -1
 _MAX_ROUNDS = 20
 # derivation paths of one demand intersected during refinement
 _MAX_PATHS = 8
+# the generator of the atoms of sums: any message
+_ANY = Var("%S", "Msg")
 # the paths an exception covers: its own, that and every extension of it,
 # or the strict extensions only
 EXACT, OPEN, BELOW = 0, 1, 2
@@ -78,6 +92,7 @@ class Grammar:
     runtime spec and rule mode from a state holding `extra_strands`."""
 
     def __init__(self, spec, mode: str, extra_strands=()):
+        t0 = time.perf_counter()
         th = spec.theory
         self.theory = th
         self.leq = spec.signature.leq
@@ -107,6 +122,11 @@ class Grammar:
                                      if s != FRESH}
         self._atom_exceptions: list = []
         self._renamed = 0
+        # while the grammar is built: the keys of the exception lists the
+        # running task read, and memoized matching and unification results
+        self._reads = None
+        self._memo: dict = {}
+        self.stats = {"tasks_run": 0, "tasks_skipped": 0}
         self._close(self._sources(spec, mode, extra_strands))
         # a production that lost its most general term along every path
         for op, prods in self._productions.items():
@@ -114,6 +134,9 @@ class Grammar:
                       if all(self._covered(exc, self._gens[op], (j,), mode)
                              for mode in (EXACT, BELOW))]:
                 del prods[j]
+        self._memo = None
+        self.stats["exceptions"] = self._renamed
+        self.stats["ms"] = round((time.perf_counter() - t0) * 1000, 1)
 
     @property
     def sums_closed(self) -> bool:
@@ -255,6 +278,8 @@ class Grammar:
         for j, exceptions in prods.items():
             for path, excl, dp in self._derivations(t.args[j], base, assumed,
                                                     deep):
+                if self._reads is not None:
+                    self._reads.update(((t.op, j), None))
                 path = (j,) + path
                 hits = self._hits(t, exceptions + self._atom_exceptions,
                                   path, dp, assumed)
@@ -277,6 +302,8 @@ class Grammar:
                 cancel += [(sg, None) for sg in got]
         for a in atoms:
             for path, excl, dp in self._derivations(a, base, assumed, deep):
+                if self._reads is not None:
+                    self._reads.add(None)
                 hits = self._hits(a, self._atom_exceptions, path, dp, assumed)
                 if hits is not None:
                     yield (ATOM,) + path, cancel + excl + hits, dp
@@ -342,16 +369,30 @@ class Grammar:
         """Unifiers of t and e that keep every assumed term irreducible (a
         reducible term stays so in all instances); None when they cannot
         all be computed."""
+        if self._memo is not None:
+            key = (t, e, frozenset(assumed or ()))
+            if key in self._memo:
+                return self._memo[key]
         th = self.theory
         us = unify_modulo(t, e, th, leq=self.leq)
-        if not us.complete:
-            return None
-        return [sg for sg in us if not assumed or all(
-            normalize(sg(a), th) == canon(sg(a), th) for a in assumed)]
+        got = None if not us.complete else [
+            sg for sg in us if not assumed or all(
+                normalize(sg(a), th) == canon(sg(a), th) for a in assumed)]
+        # a unifier with variables of its own is not shared: two callers
+        # holding it would share those variables
+        if self._memo is not None and variables(
+                [sg[v] for sg in got or () for v in sg]) <= variables((t, e)):
+            self._memo[key] = got
+        return got
 
     def _matches(self, pattern, t) -> bool:
-        got = match_modulo(pattern, t, self.theory, leq=self.leq)
-        return bool(got) or not got.complete
+        """t may be an instance of pattern (an incomplete set of matchers
+        counts as a match); asked only while the grammar is built."""
+        key = (pattern, t)
+        if key not in self._memo:
+            got = match_modulo(pattern, t, self.theory, leq=self.leq)
+            self._memo[key] = bool(got) or not got.complete
+        return self._memo[key]
 
     # --------------------------------------------------------------- sources
 
@@ -426,29 +467,61 @@ class Grammar:
     # ------------------------------------------------------------ refinement
 
     def _close(self, sources) -> None:
+        """Refine every production, and the atoms of sums, against every
+        send until a round adds nothing, skipping each task that cannot
+        add anything (see the module docstring)."""
+        sends = [(msg, received) for msg, received in sources
+                 if not self._sums_received(msg, received)]
+        # (key of the target list, generator, position) per target
+        targets = [((op, j), self._gens[op], j)
+                   for op, prods in self._productions.items() for j in prods]
+        if self._xor:
+            targets.append((None, _ANY, None))
+        tasks = [(key, gen, j, send) for key, gen, j in targets
+                 for send in sends]
+        cases: dict = {}
+        # per task, the lengths of the lists its last run read, or None
+        # when that run added an exception
+        seen: list = [None] * len(tasks)
         for _ in range(_MAX_ROUNDS):
             changed = False
+            for i, (key, gen, j, (msg, received)) in enumerate(tasks):
+                if seen[i] is not None and all(
+                        len(self._list(r)) == n for r, n in seen[i].items()):
+                    self.stats["tasks_skipped"] += 1
+                    continue
+                self.stats["tasks_run"] += 1
+                if (gen, msg, received) not in cases:
+                    cases[gen, msg, received] = self._cases(msg, received,
+                                                            gen)
+                got = cases[gen, msg, received]
+                self._reads = {key}
+                if key is None:
+                    added = self._refine_atoms(got, received)
+                else:
+                    added = self._refine(self._list(key), gen, j, got)
+                seen[i] = None if added else \
+                    {r: len(self._list(r)) for r in self._reads}
+                changed |= added
+            if not changed:
+                break
+        else:
+            # no fixpoint in sight: give every production up
             for op, prods in self._productions.items():
                 for j, exceptions in prods.items():
-                    for msg, received in sources:
-                        changed |= self._refine(exceptions, self._gens[op], j,
-                                                msg, received)
-            if self._xor:
-                for msg, received in sources:
-                    changed |= self._refine_atoms(msg, received)
-            if not changed:
-                return
-        # no fixpoint in sight: give every production up
-        for op, prods in self._productions.items():
-            for j, exceptions in prods.items():
-                self._except(exceptions, self._gens[op], (j,), OPEN)
+                    self._except(exceptions, self._gens[op], (j,), OPEN)
+        self._reads = None
 
-    def _refine(self, exceptions, gen, j, msg, received) -> bool:
-        """Except each way msg produces a term of production (gen's
-        operator, j) without having received a term of the language."""
-        if self._sums_received(msg, received):
-            return False
-        cases = self._cases(msg, received, gen)
+    def _list(self, key) -> list:
+        """The exception list of production key = (operator, position),
+        or of the atoms for None."""
+        return self._atom_exceptions if key is None else \
+            self._productions[key[0]][key[1]]
+
+    def _refine(self, exceptions, gen, j, cases) -> bool:
+        """Except each way a send produces a term of production (gen's
+        operator, j) without having received a term of the language;
+        `cases` are the send's `_cases` for gen."""
         if cases is None:
             return self._except(exceptions, gen, (j,), OPEN)
         changed = False
@@ -460,15 +533,12 @@ class Grammar:
                     [t] + nodes, assumed)
         return changed
 
-    def _refine_atoms(self, msg, received) -> bool:
-        """Except each atom of a sum msg can produce without having
-        received a term of the language."""
-        if self._sums_received(msg, received):
-            return False
-        any_term = Var("%S", "Msg")
-        cases = self._cases(msg, received, any_term)
+    def _refine_atoms(self, cases, received) -> bool:
+        """Except each atom of a sum a send can produce without having
+        received a term of the language; `cases` are the send's `_cases`
+        for any message, `received` what it received before."""
         if cases is None:
-            return self._except(self._atom_exceptions, any_term, (), OPEN)
+            return self._except(self._atom_exceptions, _ANY, (), OPEN)
         got = {normalize(d, self.theory) for d in received}
         changed = False
         for _, s, demands, assumed in cases:
@@ -534,7 +604,8 @@ class Grammar:
                 for r in ranges:
                     _subterms(canon(r, th), assumed)
                 demands = [normalize(tau(theta(d)), th) for d in received]
-                out.append((tau, canon(tau(target), th), demands, assumed))
+                out.append((tau, canon(tau(target), th), demands,
+                            frozenset(assumed)))
         return out
 
     def _except_unless(self, exceptions, t, path, mode, demands, nodes,

@@ -292,6 +292,7 @@ def reachability_search(start: SymbolicState, spec: RuntimeSpec, mode: str,
         return _finish(ATTACK_FOUND, root, stats, t0, th, complete=True)
     from .grammar import Grammar  # only searches need it
     grammar = Grammar(spec, mode, start.strands)
+    stats["grammar"] = grammar.stats
     if unlearnable(start, grammar):
         stats["grammar_pruned"] += 1
         return _finish(SECURE_FINITE, None, stats, t0, th, complete=True)

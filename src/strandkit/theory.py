@@ -385,8 +385,9 @@ class _Budget:
 def normalize(t: Term, th: EquationalTheory) -> Term:
     """The normal form of t under the theory's rules, modulo its axioms.
 
-    Raises StepBudgetExceeded after th.step_budget rule applications, which
-    flags a non-terminating rule set rather than looping forever.
+    Raises StepBudgetExceeded after th.step_budget rule applications, or
+    when the rewritten term nests too deep for the stack, which flags a
+    non-terminating rule set rather than looping forever.
 
     Normal forms are memoized per theory: backward search renormalizes the
     same payloads constantly.
@@ -397,7 +398,13 @@ def normalize(t: Term, th: EquationalTheory) -> Term:
     got = cache.get(t)
     if got is None:
         budget = _Budget(th.step_budget)
-        got = _normalize(canon(t, th), th, budget)
+        try:
+            got = _normalize(canon(t, th), th, budget)
+        except RecursionError:
+            # a rule whose right side nests its left side nests the term
+            # deeper at every step, and the stack runs out before the budget
+            raise StepBudgetExceeded("rewrite step budget exhausted") \
+                from None
         memo_put(cache, t, got, NORM_CACHE_CAP)
         memo_put(cache, got, got, NORM_CACHE_CAP)
     return got

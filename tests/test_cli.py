@@ -118,6 +118,10 @@ def test_analyze_attack_found_exit_and_json(tiny, tmp_path, capsys):
     # every memo the search reports is one the schema lists
     memos = schema["properties"]["stats"]["properties"]["memo_entries"]
     assert set(report["stats"]["memo_entries"]) == set(memos["properties"])
+    # the grammar's construction is reported field by field
+    grammar = schema["properties"]["stats"]["properties"]["grammar"]
+    assert set(report["stats"]["grammar"]) == set(grammar["properties"])
+    assert report["stats"]["grammar"]["tasks_run"] > 0
     assert (out / "trace.dot").read_text().startswith("digraph")
 
 
@@ -175,6 +179,29 @@ protocol Loop {
   op a : -> Msg ;
   vars X : Msg ;
   eq f(X) = f(X) ;
+  strand int.f {
+    -(X) ; +(f(X)) ;
+  }
+}
+attack leak {
+  knows f(a) ;
+}
+""")
+    rc = main(["analyze", str(loop), "--attack", "leak", "--mode", "basic"])
+    assert rc == 1
+    assert "error: rewrite step budget exhausted" in capsys.readouterr().err
+
+
+def test_analyze_nesting_rule_is_a_step_budget_error(tmp_path, capsys):
+    # f(X) -> f(f(X)) nests deeper at every step: the stack would run out
+    # long before the step budget
+    loop = tmp_path / "nest.strand"
+    loop.write_text("""
+protocol Nest {
+  op f : Msg -> Msg ;
+  op a : -> Msg ;
+  vars X : Msg ;
+  eq f(X) = f(f(X)) ;
   strand int.f {
     -(X) ; +(f(X)) ;
   }

@@ -13,7 +13,7 @@ import pytest
 
 from strandkit import unify
 from strandkit.dsl import attack_state, parse_document
-from strandkit.grammar import Grammar
+from strandkit.grammar import _ANY, Grammar
 from strandkit.model import (
     KNOWN,
     IntruderFact,
@@ -37,7 +37,13 @@ from strandkit.search import (
     trace_replay,
     unlearnable,
 )
-from strandkit.semantics import BASIC, SYNC, backward_successors, runtime_spec
+from strandkit.semantics import (
+    ABSTRACT,
+    BASIC,
+    SYNC,
+    backward_successors,
+    runtime_spec,
+)
 from strandkit.terms import App, FreshConst, Var
 
 from test_cli import TINY
@@ -250,3 +256,54 @@ def test_renamed_states_narrow_once(monkeypatch):
         assert grammar.condemns([demand], [], [nonce])
         narrowed.append(len(calls))
     assert narrowed[0] > 0 and narrowed[1] == narrowed[0]
+
+
+def _exception_count(grammar) -> int:
+    return len(grammar._atom_exceptions) + sum(
+        len(exceptions) for prods in grammar._productions.values()
+        for exceptions in prods.values())
+
+
+@pytest.mark.parametrize("fname,attack,mode", [
+    ("nsl.strand", "secrecy", BASIC),
+    ("nsl_db.strand", "a1", SYNC),
+    ("nsl_db.strand", "a1", ABSTRACT),
+    ("nsl_db_fix.strand", "a1", SYNC),
+    ("nsl_kd.strand", "keyleak", SYNC),
+    ("nsl_kd.strand", "keyleak", ABSTRACT),
+])
+def test_grammar_closure_is_closed(monkeypatch, fname, attack, mode):
+    # right after the worklist stops, one more naive pass refines every
+    # production and the atoms against every send, with memos of its own:
+    # a skip rule that stops too early leaves it work to do
+    close = Grammar._close
+    added = []
+
+    def close_then_pass(self, sources):
+        close(self, sources)
+        memo, self._memo = self._memo, {}
+        before = _exception_count(self)
+        for msg, received in sources:
+            if self._sums_received(msg, received):
+                continue
+            for op, prods in self._productions.items():
+                gen = self._gens[op]
+                cases = self._cases(msg, received, gen)
+                for j, exceptions in prods.items():
+                    self._refine(exceptions, gen, j, cases)
+            if self._xor:
+                self._refine_atoms(self._cases(msg, received, _ANY),
+                                   received)
+        added.append(_exception_count(self) - before)
+        self._memo = memo
+
+    monkeypatch.setattr(Grammar, "_close", close_then_pass)
+    doc = load(fname)
+    spec = runtime_spec(doc, mode)
+    grammar = Grammar(spec, mode,
+                      attack_state(doc, attack, spec, Minter()).strands)
+    assert added == [0]
+    # the closure's memos and read sets go with it
+    assert grammar._memo is None and grammar._reads is None
+    assert grammar.stats["tasks_skipped"] > 0
+    assert grammar.stats["exceptions"] > 0

@@ -329,3 +329,12 @@ def test_backward_then_forward_roundtrip(nsl_db):
     for step in backward_successors(st, spec, BASIC, minter):
         assert any(covers(r.successor, st)
                    for r in forward_step(step.predecessor, spec, BASIC))
+
+
+def test_runtime_specs_of_one_document_share_one_theory(nsl_db):
+    # the merged signature and theory are built once per document, so the
+    # specs of every mode share the theory's memos
+    sync, abstract, basic = (runtime_spec(nsl_db, m)
+                             for m in (SYNC, ABSTRACT, BASIC))
+    assert sync.theory is abstract.theory is basic.theory
+    assert sync.signature is abstract.signature is basic.signature
