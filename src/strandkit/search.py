@@ -36,7 +36,7 @@ from .semantics import (
 )
 from .terms import FRESH, FreshConst, Var, _apply, fresh_constants, \
     is_ground, term_key, term_size, variables
-from .theory import canon, match_ax, normalize
+from .theory import canon, canonical_leaf, match_ax, normalize
 from .theory import memo_entries as theory_memo_entries
 from .unify import match_modulo
 from .unify import memo_entries as unify_memo_entries
@@ -161,7 +161,41 @@ def _diseq_key(l, r, th) -> frozenset:
     return frozenset((normalize(l, th), normalize(r, th)))
 
 
-def _state_instance_of(cand: SymbolicState, gen: SymbolicState, th, match,
+class _Pattern:
+    """A state readied once to be the general side of `_state_instance_of`,
+    however often it is matched: its facts in matching order, the layout
+    or kind of each place, and the terms of each place and of each
+    disequality renamed and made canonical.  Its variables become %P0,
+    %P1, ... and its fresh values outside `fixed` Fresh-sorted %fresh0,
+    %fresh1, ..., canonical leaves that every pattern of the theory
+    shares: renamed apart from any candidate's, so that applying a binding
+    never takes a variable of the candidate's for one of the pattern's."""
+
+    __slots__ = ("state", "fixed", "keys", "places", "fvars", "diseqs")
+
+    def __init__(self, gen: SymbolicState, th, fixed: frozenset = frozenset()):
+        self.state, self.fixed = gen, fixed
+        # facts with the most arguments first and bare variables last, as
+        # a bare variable matches any fact
+        gfacts = sorted(gen.facts, key=lambda f: -len(term_key(f.payload)))
+        self.keys = [_layout(s) for s in gen.strands] + \
+            [f.kind for f in gfacts]
+        own = _terms(gen)
+        fresh = sorted(fresh_constants(own) - fixed, key=term_key)
+        self.fvars = [canonical_leaf(th, "%fresh", i, FRESH)
+                      for i in range(len(fresh))]
+        ren = {v: canonical_leaf(th, "%P", i, v.sort) for i, v in
+               enumerate(sorted(variables(own), key=term_key))}
+        ren.update(zip(fresh, self.fvars))
+
+        def prep(ts) -> list:
+            return [canon(_apply(ren, t), th) for t in ts]
+
+        self.places = [prep(ts) for ts in _units(gen.strands, gfacts)]
+        self.diseqs = [prep(pair) for pair in gen.diseqs]
+
+
+def _state_instance_of(cand: SymbolicState, gen, th, match,
                        *, extra_strands: bool = False,
                        extra_facts: bool = False,
                        fixed: frozenset = frozenset()) -> bool:
@@ -172,7 +206,8 @@ def _state_instance_of(cand: SymbolicState, gen: SymbolicState, th, match,
     that normalizes apart.  The fresh values of gen outside `fixed` stand
     for any fresh values: σ takes them one-to-one to fresh values of cand
     outside `fixed`.  Without `extra_strands` and `extra_facts`, σ covers
-    the strands and facts of cand exactly.
+    the strands and facts of cand exactly.  gen is a state, or a
+    `_Pattern` of one, readied once for many calls with its own `fixed`.
 
     `match(pattern, subject, binding)` is the term matcher: it yields the
     extensions of a binding (a dict from variables to terms) under which
@@ -185,51 +220,34 @@ def _state_instance_of(cand: SymbolicState, gen: SymbolicState, th, match,
     and a reachable initial state lifts to one at least as general, which
     is still initial.  Extra facts only make a state harder to reach.
     """
+    pat = gen if isinstance(gen, _Pattern) else _Pattern(gen, th, fixed)
+    gen, fixed, gkeys = pat.state, pat.fixed, pat.keys
     if not extra_strands and len(gen.strands) != len(cand.strands) or \
             not extra_facts and len(gen.facts) != len(cand.facts):
         return False
-    # facts with the most arguments first and bare variables last, as a
-    # bare variable matches any fact
-    gfacts = sorted(gen.facts, key=lambda f: -len(term_key(f.payload)))
-    gkeys = [_layout(s) for s in gen.strands] + [f.kind for f in gfacts]
     slots: dict = {}  # a strand layout or fact kind -> its places in cand
     for j, key in enumerate([_layout(s) for s in cand.strands] +
                             [f.kind for f in cand.facts]):
         slots.setdefault(key, []).append(j)
     if any(len(slots.get(key, ())) < n for key, n in Counter(gkeys).items()):
         return False
-    # gen's variables are renamed apart from cand's, so that applying a
-    # binding never takes a variable of cand's for one of gen's, and its
-    # fresh values outside `fixed` become Fresh-sorted variables
-    own = _terms(gen)
-    fresh = sorted(fresh_constants(own) - fixed, key=term_key)
-    fvars = [Var(f"%fresh{i}", FRESH) for i in range(len(fresh))]
-    ren = {v: Var(f"%P{i}", v.sort)
-           for i, v in enumerate(sorted(variables(own), key=term_key))}
-    ren.update(zip(fresh, fvars))
-
-    def prep(ts) -> list:
-        return [canon(_apply(ren, t), th) for t in ts]
-
-    # the terms of each place, made canonical (and on gen's side renamed)
-    # when the search first reaches it, so a call that fails early does
-    # not prepare the rest
-    gunits = _units(gen.strands, gfacts)
+    # the terms of each place of cand, made canonical when the search
+    # first reaches it, so a call that fails early does not prepare the
+    # rest
     cunits = _units(cand.strands, cand.facts)
-    pats = [None] * len(gunits)
     subjects = [None] * len(cunits)
     cand_diseqs = {_diseq_key(l, r, th) for (l, r) in cand.diseqs}
 
     def diseqs_hold(b) -> bool:
-        for pair in gen.diseqs:
-            l, r = (normalize(_apply(b, t), th) for t in prep(pair))
+        for pair in pat.diseqs:
+            l, r = (normalize(_apply(b, t), th) for t in pair)
             if _diseq_key(l, r, th) not in cand_diseqs and not (
                     is_ground(l) and is_ground(r) and l != r):
                 return False
         return True
 
     def fresh_ok(b) -> bool:
-        images = [b[v] for v in fvars if v in b]
+        images = [b[v] for v in pat.fvars if v in b]
         return len(set(images)) == len(images) and all(
             isinstance(c, FreshConst) and c not in fixed for c in images)
 
@@ -241,16 +259,15 @@ def _state_instance_of(cand: SymbolicState, gen: SymbolicState, th, match,
             yield from match_all(ps, ss, b2, i + 1)
 
     def place(i, b, used) -> bool:
-        if i == len(pats):
+        if i == len(gkeys):
             return diseqs_hold(b)
-        if pats[i] is None:
-            pats[i] = prep(gunits[i])
+        ps = pat.places[i]
         for j in slots[gkeys[i]]:
             if j in used:
                 continue
             if subjects[j] is None:
                 subjects[j] = [canon(t, th) for t in cunits[j]]
-            for b2 in match_all(pats[i], subjects[j], b):
+            for b2 in match_all(ps, subjects[j], b):
                 if fresh_ok(b2) and place(i + 1, b2, used | {j}):
                     return True
         return False
@@ -310,7 +327,8 @@ def reachability_search(start: SymbolicState, spec: RuntimeSpec, mode: str,
     def subsumes(p, t, b):
         return match_ax(p, t, th, b, leq)
 
-    kept: dict = {_skeleton(start): [start]}
+    # the states kept for subsumption, each readied once as a pattern
+    kept: dict = {_skeleton(start): [_Pattern(start, th)]}
     truncated = False  # depth or state budget cut off unexplored states
     while frontier:
         if budget.wall_seconds is not None and \
@@ -356,13 +374,15 @@ def reachability_search(start: SymbolicState, spec: RuntimeSpec, mode: str,
             bucket = kept.setdefault(_skeleton(pred), [])
             nf = len(pred.facts)
             # bound the scan so subsumption cost stays linear overall
-            if any(len(g.facts) <= nf and g.depth <= pred.depth and
-                   _state_instance_of(pred, g, th, subsumes, extra_facts=True)
+            if any(len(g.state.facts) <= nf and g.state.depth <= pred.depth
+                   and _state_instance_of(pred, g, th, subsumes,
+                                          extra_facts=True)
                    for g in bucket[:_SUBSUME_SCAN_CAP]):
                 stats["subsumed"] += 1
                 continue
             if focus is None and demands is None:
-                bucket.append(pred)  # a focused state explores too little
+                # a focused state explores too little
+                bucket.append(_Pattern(pred, th))
             stats["states_enqueued"] += 1
             stats["max_depth_reached"] = max(stats["max_depth_reached"],
                                              pred.depth)

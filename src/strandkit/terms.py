@@ -9,13 +9,20 @@ hash-consing", 2006): building one returns the live node with the same
 operator, arguments and sort if there is one, so equal applications are
 the same object and a substitution shares every subterm it leaves alone.
 So `==` is the one equality of terms, and sets and dicts of terms need no
-other key: applications compare by identity, variables and fresh
-constants by their fields.  `term_key` only orders terms.
+other key:
+- applications compare by identity and hash by (op, args, sort), computed
+  once per node;
+- variables compare by name and sort, fresh constants by number and hint,
+  each after an identity test, and each hashes by that pair, computed
+  once per object.
+Variables and fresh constants are not interned.  The renamings that
+number leaves (`%W0`, `c!0`, ...) take them from their theory's table of
+canonical leaves, so renamed copies share their leaves too and compare by
+identity all the way down.  `term_key` only orders terms.
 """
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
 MSG = "Msg"
@@ -38,31 +45,74 @@ class SignatureClash(Exception):
     """Two signatures declare the same operator with different profiles."""
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-    sort: str = MSG
+class _Leaf:
+    """A variable or a fresh constant: two fields, set at construction,
+    that decide equality and give the hash, computed once as the hash of
+    the pair.  Leaves are not interned: the renamings that number leaves
+    (`theory.canonical_leaf`) hand out one shared object per name, so
+    their copies compare by identity."""
+
+    __slots__ = ("_hash",)
     closed = False
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"terms are immutable: cannot set {name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"terms are immutable: cannot delete {name}")
+
+
+class Var(_Leaf):
+    """A named variable of a sort, equal to another of the same name and
+    sort."""
+
+    __slots__ = ("name", "sort")
+    __hash__ = _Leaf.__hash__  # defining __eq__ would unset it
+
+    def __init__(self, name: str, sort: str = MSG) -> None:
+        init = object.__setattr__
+        init(self, "name", name)
+        init(self, "sort", sort)
+        init(self, "_hash", hash((name, sort)))
+
+    def __eq__(self, other):
+        return self is other or other.__class__ is Var and \
+            self.name == other.name and self.sort == other.sort
+
+    def __reduce__(self):
+        return (Var, (self.name, self.sort))
 
     def __repr__(self) -> str:
         return f"{self.name}:{self.sort}"
 
 
-@dataclass(frozen=True)
-class FreshConst:
-    """A fresh value minted for one strand instance.
+class FreshConst(_Leaf):
+    """A fresh value minted for one strand instance, equal to another of
+    the same number and hint.
 
     Fresh constants behave like free constants: they unify only with
     themselves and with variables, and no substitution ever replaces them.
     """
 
-    ident: int
-    hint: str = "r"
-    closed = False
+    __slots__ = ("ident", "hint")
+    __hash__ = _Leaf.__hash__
+    sort = FRESH
 
-    @property
-    def sort(self) -> str:
-        return FRESH
+    def __init__(self, ident: int, hint: str = "r") -> None:
+        init = object.__setattr__
+        init(self, "ident", ident)
+        init(self, "hint", hint)
+        init(self, "_hash", hash((ident, hint)))
+
+    def __eq__(self, other):
+        return self is other or other.__class__ is FreshConst and \
+            self.ident == other.ident and self.hint == other.hint
+
+    def __reduce__(self):
+        return (FreshConst, (self.ident, self.hint))
 
     def __repr__(self) -> str:
         return f"{self.hint}!{self.ident}"
@@ -139,50 +189,27 @@ def least_sort(t: Term) -> str:
 
 
 def is_ground(t: Term) -> bool:
-    if isinstance(t, Var):
-        return False
-    if isinstance(t, App):
-        return all(is_ground(a) for a in t.args)
-    return True
+    return not any(x.__class__ is Var for x in leaves(t))
 
 
-def variables(t: Term) -> set:
-    """All variables occurring in a term (or tuple of terms)."""
-    out: set = set()
-    _collect_vars(t, out)
-    return out
-
-
-def _collect_vars(t, out: set) -> None:
-    if isinstance(t, Var):
-        out.add(t)
-    elif isinstance(t, App):
-        if t.closed:
-            return
-        for a in t.args:
-            _collect_vars(a, out)
-    elif isinstance(t, (tuple, list)):
-        for a in t:
-            _collect_vars(a, out)
+def variables(t) -> set:
+    """All variables occurring in a term (or tuple or list of terms)."""
+    return {x for x in _all_leaves(t) if x.__class__ is Var}
 
 
 def fresh_constants(t) -> set:
-    out: set = set()
-    _collect_fresh(t, out)
-    return out
+    """All fresh constants occurring in a term (or tuple or list of terms)."""
+    return {x for x in _all_leaves(t) if x.__class__ is FreshConst}
 
 
-def _collect_fresh(t, out: set) -> None:
-    if isinstance(t, FreshConst):
-        out.add(t)
-    elif isinstance(t, App):
-        if t.closed:
-            return
-        for a in t.args:
-            _collect_fresh(a, out)
-    elif isinstance(t, (tuple, list)):
-        for a in t:
-            _collect_fresh(a, out)
+def _all_leaves(t):
+    """The cached `leaves` of a term, or of each term of a (nested) tuple
+    or list, in order."""
+    if isinstance(t, (tuple, list)):
+        return [x for a in t for x in _all_leaves(a)]
+    if isinstance(t, (App, Var, FreshConst)):
+        return leaves(t)
+    return ()
 
 
 def positions(t: Term) -> Iterator[Position]:
@@ -214,8 +241,9 @@ def replace_at(t: Term, pos: Position, u: Term) -> Term:
 
 def term_key(t: Term):
     """Total order key: variables < fresh constants < applications.  It
-    only orders terms; two terms are equal when `==` says so, which for
-    applications is identity."""
+    only orders terms; two terms are equal when `==` says so: identity for
+    applications, name and sort for variables, number and hint for fresh
+    constants."""
     if isinstance(t, Var):
         return (0, t.name, t.sort)
     if isinstance(t, FreshConst):

@@ -67,6 +67,9 @@ class EquationalTheory:
                                compare=False)
     _variant_cache: dict = field(default_factory=dict, init=False,
                                  repr=False, compare=False)
+    # (prefix, index, sort) -> the leaf that `canonical_leaf` shares
+    _canon_leaves: dict = field(default_factory=dict, init=False,
+                                repr=False, compare=False)
     # the operators declared nilpotent, derived from the axioms
     nilpotent: frozenset = field(default=frozenset(), init=False,
                                  repr=False, compare=False)
@@ -161,6 +164,22 @@ def memo_put(cache: dict, key, value, cap: int) -> None:
         for old in list(islice(cache, 1 + cap // 64)):
             del cache[old]
     cache[key] = value
+
+
+def canonical_leaf(th: EquationalTheory, prefix: str, i: int, sort: str):
+    """The leaf printed `{prefix}{i}` of the sort, one object per theory:
+    the variable of that name, or for the prefix "c!" the fresh constant
+    numbered i with hint "c".  The renamings that number leaves take them
+    from here, so their renamed copies share leaves, and dicts and
+    intern-table lookups compare those by identity."""
+    key = (prefix, i, sort)
+    table = th._canon_leaves
+    got = table.get(key)
+    if got is None:
+        got = FreshConst(i, "c") if prefix == "c!" else \
+            Var(f"{prefix}{i}", sort)
+        table[key] = got
+    return got
 
 
 def canon(t: Term, th: EquationalTheory) -> Term:

@@ -19,6 +19,7 @@ from typing import Optional
 
 from .terms import (
     App,
+    FRESH,
     FreshConst,
     IDENTITY,
     SortClash,
@@ -37,6 +38,7 @@ from .theory import (
     absorber,
     ac_atoms,
     canon,
+    canonical_leaf,
     eq_modulo,
     match_ax,
     memo_put,
@@ -320,10 +322,13 @@ def memo_entries(th: EquationalTheory) -> dict:
 
 
 class _Renaming:
-    """Renames variables to %W0, %W1, ... and fresh constants to c0, c1,
+    """Renames variables to %W0, %W1, ... and fresh constants to c!0, c!1,
     ... in order of first occurrence, so that renamed copies of a term
     become equal; `back` undoes it.  Closed subterms are left as they
-    are."""
+    are.  The new leaves come from the theory's table of canonical leaves
+    (`theory.canonical_leaf`), so every renaming in one theory hands out
+    the same objects: renamed copies are one hash-consed node, and the
+    memos keyed by them compare leaves by identity."""
 
     __slots__ = ("th", "vars", "fresh", "_inv")
 
@@ -342,12 +347,12 @@ class _Renaming:
         if isinstance(t, Var):
             got = self.vars.get(t)
             if got is None:
-                got = Var(f"%W{len(self.vars)}", t.sort)
+                got = canonical_leaf(self.th, "%W", len(self.vars), t.sort)
                 self.vars[t] = got
             return got
         got = self.fresh.get(t)
         if got is None:
-            got = FreshConst(len(self.fresh), "c")
+            got = canonical_leaf(self.th, "c!", len(self.fresh), FRESH)
             self.fresh[t] = got
         return got
 
@@ -516,7 +521,7 @@ def _apart(t: Term, th: EquationalTheory) -> tuple:
     """t made canonical with its variables renamed to %I0, %I1, ..., names
     no other term carries, so that it can be matched as a pattern; and
     the map back to the old names."""
-    ren = {v: Var(f"%I{i}", v.sort)
+    ren = {v: canonical_leaf(th, "%I", i, v.sort)
            for i, v in enumerate(sorted(variables(t), key=term_key))}
     return canon(_apply(ren, t), th), {w: v for v, w in ren.items()}
 

@@ -144,6 +144,22 @@ def test_no_module_state_but_the_allowed():
     assert found == set(MODULE_STATE), found
 
 
+@pytest.mark.parametrize("make", [
+    lambda terms: terms.App("f", (terms.Var("X"),)),
+    lambda terms: terms.Var("X"),
+    lambda terms: terms.FreshConst(1),
+], ids=["App", "Var", "FreshConst"])
+def test_term_classes_keep_slots(make):
+    """Every live term is one of these objects, and the hot paths hash and
+    compare them by the fields in their slots: a per-instance `__dict__`
+    would cost memory and speed on every term."""
+    from strandkit import terms
+
+    t = make(terms)
+    assert "__slots__" in vars(type(t))
+    assert not hasattr(t, "__dict__")
+
+
 # the comparisons that decide equality or membership
 _EQUALITY_OPS = (ast.Eq, ast.NotEq, ast.In, ast.NotIn)
 

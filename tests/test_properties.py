@@ -34,6 +34,7 @@ from strandkit.terms import (
     _apply,
     const,
     fresh_constants,
+    is_ground,
     skeleton,
     term_key,
     variables,
@@ -128,6 +129,29 @@ def _rebuilt(t):
 def test_identity_is_structural_equality(a, b):
     assert (a is b) == (term_key(a) == term_key(b))
     assert _rebuilt(a) is a and _rebuilt(b) is b
+
+
+def _leaves_below(t) -> list:
+    """Every variable and fresh constant of t, by plain recursion."""
+    if isinstance(t, App):
+        return [x for a in t.args for x in _leaves_below(a)]
+    return [t]
+
+
+@settings(max_examples=300, deadline=None)
+@given(app_terms, st.lists(app_terms, max_size=3))
+def test_term_queries_agree_with_recursion(t, ts):
+    below = _leaves_below(t)
+    assert variables(t) == {x for x in below if isinstance(x, Var)}
+    assert fresh_constants(t) == {x for x in below
+                                  if isinstance(x, FreshConst)}
+    assert is_ground(t) == (not any(isinstance(x, Var) for x in below))
+    # tuples and lists of terms, nested too, as the callers pass them
+    every = below + [x for u in ts for x in _leaves_below(u)]
+    assert variables((t, tuple(ts))) == variables([t] + ts) == \
+        {x for x in every if isinstance(x, Var)}
+    assert fresh_constants((t, ts)) == {x for x in every
+                                        if isinstance(x, FreshConst)}
 
 
 @settings(max_examples=300, deadline=None)

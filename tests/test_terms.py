@@ -180,6 +180,61 @@ def test_copies_and_pickles_come_back_interned():
     assert copy.deepcopy({"k": [t]})["k"][0] is t
 
 
+# ------------------------------------------------- variables and fresh values
+
+
+@pytest.mark.parametrize("leaf, fields", [
+    (Var("X", "Name"), ("X", "Name")),
+    (Var("%W0"), ("%W0", "Msg")),
+    (FreshConst(3, "n"), (3, "n")),
+    (FreshConst(0), (0, "r")),
+])
+def test_leaves_hash_as_their_field_pairs(leaf, fields):
+    # the hash of the field pair, as the frozen dataclasses had, so set
+    # and dict orders under a given hash seed stay as they were
+    assert hash(leaf) == hash(fields)
+
+
+def test_leaves_with_equal_fields_are_equal():
+    assert Var("X", "Name") == Var("X", "Name")
+    assert Var("X", "Name") is not Var("X", "Name")
+    assert Var("X", "Name") != Var("X", "Msg")
+    assert Var("X") != Var("Y")
+    assert FreshConst(2, "n") == FreshConst(2, "n")
+    assert FreshConst(2, "n") != FreshConst(2, "r")
+    assert FreshConst(2) != FreshConst(3)
+    assert FreshConst(2).sort == "Fresh"
+    # no kind of leaf equals another kind, or a tuple of its fields
+    assert Var("X") != const("X")
+    assert FreshConst(1) != Var("r!1", "Fresh")
+    assert Var("X", "Msg") != ("X", "Msg")
+    assert len({Var("X"), Var("X"), FreshConst(1), FreshConst(1)}) == 2
+
+
+@pytest.mark.parametrize("leaf, name", [(Var("X"), "name"),
+                                        (Var("X"), "sort"),
+                                        (FreshConst(1), "ident"),
+                                        (FreshConst(1), "hint")])
+def test_leaves_are_immutable(leaf, name):
+    with pytest.raises(AttributeError):
+        setattr(leaf, name, "other")
+    with pytest.raises(AttributeError):
+        leaf.extra = 1
+    with pytest.raises(AttributeError):
+        delattr(leaf, name)
+
+
+def test_leaf_copies_and_pickles_are_equal():
+    import copy
+    import pickle
+
+    for leaf in (Var("X", "Name"), FreshConst(4, "n")):
+        for back in (copy.copy(leaf), copy.deepcopy(leaf),
+                     pickle.loads(pickle.dumps(leaf))):
+            assert back == leaf and hash(back) == hash(leaf)
+            assert type(back) is type(leaf)
+
+
 def test_intern_table_drops_dead_nodes():
     import gc
 

@@ -12,6 +12,7 @@ from strandkit.terms import (
     FreshConst,
     Subst,
     Var,
+    _apply,
     const,
     positions,
     leaves,
@@ -481,6 +482,38 @@ def test_renamed_match_problems_narrow_once(monkeypatch):
     ren = Subst({A: A2, B: B2, K: K2, X: X2}, _trusted=True)
     assert [(ren(s(K)), ren(s(X))) for s in first] == \
         [(s(K2), s(X2)) for s in second]
+
+
+def test_renamed_copies_share_one_canonical_node():
+    th = EquationalTheory(rules=ED_TH.rules)
+    t = e(Var("K", "Name"), App("h", (X, FreshConst(7, "n"), X), "Msg"))
+    u = Subst({Var("K", "Name"): Var("K9", "Name"), X: Var("X9")},
+              _trusted=True)(t)
+    u = _apply({FreshConst(7, "n"): FreshConst(2)}, u)
+    assert u != t and skeleton(u) == skeleton(t)
+    one, two = unify._Renaming(th)(t), unify._Renaming(th)(u)
+    assert one is two  # one hash-consed node over shared leaves
+    assert all(a is b for a, b in zip(leaves(one), leaves(two)))
+    # each kind of leaf is drawn from the theory's table once
+    assert sorted(th._canon_leaves) == [
+        ("%W", 0, "Name"), ("%W", 1, "Msg"), ("c!", 0, "Fresh")]
+    assert unify._Renaming(EquationalTheory())(t) is one  # same names
+
+
+def test_a_memo_hit_adds_no_canonical_leaf():
+    th = EquationalTheory(rules=ED_TH.rules)
+    K2, X2, Y2 = Var("K2"), Var("X2"), Var("Y2")
+    first = unify_modulo(d(K, X), App("f", (Y, FreshConst(1)), "Msg"), th)
+    leaves_after, memo_after = dict(th._canon_leaves), len(th._unify_cache)
+    second = unify_modulo(d(K2, X2), App("f", (Y2, FreshConst(5)), "Msg"),
+                          th)
+    assert len(th._unify_cache) == memo_after  # a memo hit
+    assert th._canon_leaves == leaves_after
+    assert all(th._canon_leaves[k] is v for k, v in leaves_after.items())
+    assert [s(X) for s in first] == [e(K, App("f", (Y, FreshConst(1)),
+                                              "Msg"))]
+    assert [s(X2) for s in second] == [e(K2, App("f", (Y2, FreshConst(5)),
+                                                 "Msg"))]
 
 
 def _frozen_instance_of(general, specific, problem_vars, th):
