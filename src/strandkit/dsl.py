@@ -691,16 +691,8 @@ def print_protocol(spec: ProtocolSpec, base: Optional[Signature] = None) -> str:
         args = args + " " if args else ""
         lines.append(f"  op {opname} : {args}-> {result} ;")
     for opname, decl in sorted(spec.theory.axioms):
-        attrs = []
-        if decl.assoc:
-            attrs.append("assoc")
-        if decl.comm:
-            attrs.append("comm")
-        if decl.unit is not None:
-            attrs.append(f"unit({print_term(decl.unit)})")
-        if decl.nilpotent:
-            attrs.append("nilpotent")
-        lines.append(f"  axiom {opname} {' '.join(attrs)} ;")
+        lines.append(f"  axiom {opname} assoc comm unit({print_term(decl.unit)})"
+                     " nilpotent ;")
     used = set()
     for sch in spec.schemas.values():
         for it in sch.items:

@@ -114,7 +114,7 @@ class Grammar:
         # op -> {position: [(pattern, path, mode)]}
         self._productions: dict = {}
         for (op, arity), (argsorts, result) in sorted(spec.signature.ops.items()):
-            if arity == 0 or th.is_ac(op):
+            if arity == 0 or op in self._xor:
                 continue
             self._gens[op] = App(op, tuple(Var(f"%G{k}", s) for k, s in
                                            enumerate(argsorts)), result)
@@ -355,7 +355,7 @@ class Grammar:
             return False
         if is_ground(t) or (assumed and t in assumed):
             return True
-        if self.theory.is_ac(t.op):
+        if t.op in self._xor:
             return False
         for blocking in self._blockers.get(t.op, ()):
             if not any(isinstance(t.args[k], FreshConst) or

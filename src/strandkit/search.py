@@ -34,7 +34,7 @@ from .semantics import (
     backward_successors,
     trans_inv,
 )
-from .terms import FRESH, FreshConst, Var, _apply, fresh_constants, \
+from .terms import FRESH, App, FreshConst, Var, _apply, fresh_constants, \
     is_ground, term_key, term_size, variables
 from .theory import canon, canonical_leaf, match_ax, normalize
 from .theory import memo_entries as theory_memo_entries
@@ -177,7 +177,8 @@ class _Pattern:
         self.state, self.fixed = gen, fixed
         # facts with the most arguments first and bare variables last, as
         # a bare variable matches any fact
-        gfacts = sorted(gen.facts, key=lambda f: -len(term_key(f.payload)))
+        gfacts = sorted(gen.facts, key=lambda f: -len(f.payload.args)
+                        if isinstance(f.payload, App) else 0)
         self.keys = [_layout(s) for s in gen.strands] + \
             [f.kind for f in gfacts]
         own = _terms(gen)

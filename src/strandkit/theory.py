@@ -1,9 +1,10 @@
-"""Equational theories: structural axioms plus oriented rewrite rules.
+"""Equational theories: exclusive-or axioms plus oriented rewrite rules.
 
-Structural axioms (associativity, commutativity, identity, nilpotence) are
-compiled away by `canon`, which flattens and sorts argument lists, removes
-identity elements and cancels equal pairs under nilpotent operators.  The
-oriented rules are applied by `normalize` modulo those canonical forms.
+The one structural axiom is exclusive-or: an operator declared
+associative, commutative and nilpotent with a unit.  `canon` compiles it
+away, flattening and sorting each sum's argument list, removing the unit
+and cancelling equal pairs.  Every other operator is free.  The oriented
+rules are applied by `normalize` modulo those canonical forms.
 """
 from __future__ import annotations
 
@@ -34,23 +35,27 @@ class IrregularRule(Exception):
 
 @dataclass(frozen=True)
 class AxiomDecl:
+    """The axioms of one operator.  Only exclusive-or is accepted: assoc,
+    comm, nilpotent and a unit together."""
+
     assoc: bool = False
     comm: bool = False
     unit: Optional[Term] = None
     nilpotent: bool = False
 
     def __post_init__(self):
-        if self.nilpotent and (not (self.assoc and self.comm) or self.unit is None):
-            raise IrregularRule("nilpotent operators need assoc, comm and a unit")
+        if not (self.assoc and self.comm and self.nilpotent) \
+                or self.unit is None:
+            raise IrregularRule("the only axioms are exclusive-or: "
+                                "assoc comm unit(u) nilpotent")
 
 
 @dataclass(frozen=True)
 class EquationalTheory:
-    """Oriented rules plus per-operator structural axioms.
+    """Oriented rules plus the exclusive-or operators' axioms.
 
     Rules must be regular: a non-variable left side whose variables cover
-    the right side.  The canonical-axiom kinds here are regular by
-    construction.
+    the right side.
     """
 
     rules: tuple = ()
@@ -70,9 +75,9 @@ class EquationalTheory:
     # (prefix, index, sort) -> the leaf that `canonical_leaf` shares
     _canon_leaves: dict = field(default_factory=dict, init=False,
                                 repr=False, compare=False)
-    # the operators declared nilpotent, derived from the axioms
-    nilpotent: frozenset = field(default=frozenset(), init=False,
-                                 repr=False, compare=False)
+    # each exclusive-or operator mapped to its unit, from the axioms
+    nilpotent: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
     # how often `match_ax` matched a sum in a way that may lose matchers
     _match_gaps: list = field(default_factory=lambda: [0], init=False,
                               repr=False, compare=False)
@@ -82,20 +87,12 @@ class EquationalTheory:
                                 init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "nilpotent", frozenset(
-            op for op, decl in self.axioms if decl.nilpotent))
+        self.nilpotent.update((op, decl.unit) for op, decl in self.axioms)
         for lhs, rhs in self.rules:
             if isinstance(lhs, Var):
                 raise IrregularRule(f"rule left side is a variable: {lhs!r}")
             if not variables(rhs) <= variables(lhs):
                 raise IrregularRule(f"rule {lhs!r} -> {rhs!r} invents variables")
-
-    def axiom(self, op: str) -> Optional[AxiomDecl]:
-        m = self.__dict__.get("_axiom_map")
-        if m is None:
-            m = dict(self.axioms)
-            object.__setattr__(self, "_axiom_map", m)
-        return m.get(op)
 
     def rule_index(self) -> dict:
         """The rules to try under each head symbol, built once per theory.
@@ -121,16 +118,12 @@ class EquationalTheory:
                 head = c.op if isinstance(c, App) and \
                     c.op not in self.nilpotent else None
                 entries.append((head, (lhs, rhs, ren(lhs), ren(rhs))))
-            ops = {None} | {h for h, _ in entries} | self.nilpotent
+            ops = {None, *(h for h, _ in entries), *self.nilpotent}
             m = {op: tuple(e for h, e in entries
                            if h in (op, None) or op in self.nilpotent)
                  for op in ops}
             object.__setattr__(self, "_rule_index", m)
         return m
-
-    def is_ac(self, op: str) -> bool:
-        ax = self.axiom(op)
-        return ax is not None and ax.assoc and ax.comm
 
     def merge(self, other: "EquationalTheory") -> "EquationalTheory":
         rules = list(self.rules)
@@ -145,8 +138,6 @@ class EquationalTheory:
         return EquationalTheory(tuple(rules), tuple(sorted(axmap.items())),
                                 max(self.step_budget, other.step_budget))
 
-
-EMPTY_THEORY = EquationalTheory()
 
 # Entry caps of the memos below.  The shipped benchmark workloads stay
 # below both.
@@ -197,31 +188,21 @@ def canon(t: Term, th: EquationalTheory) -> Term:
 
 def _canon_app(t: App, th: EquationalTheory) -> Term:
     args = tuple(canon(a, th) for a in t.args)
-    ax = th.axiom(t.op)
-    if ax is None:
+    unit = th.nilpotent.get(t.op)
+    if unit is None:
         return App(t.op, args, t.sort)
-    if ax.assoc and ax.comm:
-        flat = []
-        for a in args:
-            if isinstance(a, App) and a.op == t.op:
-                flat.extend(a.args)
-            else:
-                flat.append(a)
-        if ax.unit is not None:
-            flat = [a for a in flat if a != ax.unit]
-        if ax.nilpotent:
-            flat = sym_diff(flat)
-        flat.sort(key=term_key)
-        if not flat:
-            if ax.unit is None:
-                raise IrregularRule(f"{t.op} collapsed to nothing without a unit")
-            return ax.unit
-        if len(flat) == 1:
-            return flat[0]
-        return App(t.op, tuple(flat), t.sort)
-    if ax.comm:
-        args = tuple(sorted(args, key=term_key))
-    return App(t.op, args, t.sort)
+    flat = []
+    for a in args:
+        if isinstance(a, App) and a.op == t.op:
+            flat.extend(a.args)
+        elif a != unit:
+            flat.append(a)
+    flat = sym_diff(flat)
+    if not flat:
+        return unit
+    if len(flat) == 1:
+        return flat[0]
+    return App(t.op, tuple(flat), t.sort)
 
 
 def sym_diff(atoms: list) -> list:
@@ -232,12 +213,12 @@ def sym_diff(atoms: list) -> list:
 
 
 def ac_atoms(t: Term, op: str, th: EquationalTheory) -> list:
-    """The flattened argument list of t viewed under an AC operator."""
+    """The flattened argument list of t viewed as a sum under the
+    exclusive-or operator op."""
     t = canon(t, th)
-    ax = th.axiom(op)
     if isinstance(t, App) and t.op == op:
         return list(t.args)
-    if ax is not None and t == ax.unit:
+    if t == th.nilpotent[op]:
         return []
     return [t]
 
@@ -256,11 +237,9 @@ def absorber(atoms: list, rest: list, op: str, sort: str,
 
 
 def ac_combine(atoms: Sequence[Term], op: str, th: EquationalTheory, sort: str) -> Term:
-    ax = th.axiom(op)
+    """The canonical sum of the atoms under the exclusive-or operator op."""
     if not atoms:
-        if ax is None or ax.unit is None:
-            raise IrregularRule(f"cannot build empty {op}")
-        return ax.unit
+        return th.nilpotent[op]
     if len(atoms) == 1:
         return atoms[0]
     return canon(App(op, tuple(atoms), sort), th)
@@ -268,17 +247,15 @@ def ac_combine(atoms: Sequence[Term], op: str, th: EquationalTheory, sort: str) 
 
 def match_ax(pattern: Term, subject: Term, th: EquationalTheory,
              binding: Optional[dict] = None, leq=None) -> Iterator[dict]:
-    """Match pattern against subject modulo the structural axioms.
+    """Match pattern against subject modulo the exclusive-or axioms.
 
     Yields extensions of the given binding (dicts from Var to Term).  Both
     sides must be canonical, and the pattern's variables apart from the
-    subject's.  AC matching is complete only for small argument lists:
-    non-variable pattern arguments are matched injectively and at most one
-    pattern variable absorbs the leftovers, which covers every rule shape
-    used here.  Sums under a nilpotent operator are matched last in an
-    argument list, then by `_match_nilpotent`, which counts the matches
-    that may be incomplete.  With a subsort test `leq`, a variable binds
-    only a subject whose sort is below its own.
+    subject's.  Free operators match argument by argument, sums last, so
+    that their variables are bound by then.  A sum is matched by
+    `_match_nilpotent`, which counts the matches that may be incomplete.
+    With a subsort test `leq`, a variable binds only a subject whose sort
+    is below its own.
     """
     if binding is None:
         binding = {}
@@ -298,26 +275,17 @@ def match_ax(pattern: Term, subject: Term, th: EquationalTheory,
     if pattern.op in nil:
         yield from _match_nilpotent(pattern, subject, th, binding, leq)
         return
-    if not isinstance(subject, App) or subject.op != pattern.op:
+    if not isinstance(subject, App) or subject.op != pattern.op or \
+            len(pattern.args) != len(subject.args):
         return
-    ax = th.axiom(pattern.op)
-    if ax is not None and ax.assoc and ax.comm:
-        yield from _match_ac(list(pattern.args), list(subject.args), pattern.op,
-                             pattern.sort, th, binding, leq)
-        return
-    if len(pattern.args) != len(subject.args):
-        return
-    pats, orders = pattern.args, [subject.args]
-    if ax is not None and ax.comm and len(subject.args) == 2:
-        orders = [subject.args, subject.args[::-1]]
-    if nil:  # sums last, so that their variables are bound by then
+    pats, subjs = pattern.args, subject.args
+    if nil:
         last = [isinstance(p, App) and p.op in nil for p in pats]
         if any(last):
             idx = sorted(range(len(pats)), key=last.__getitem__)
             pats = [pats[i] for i in idx]
-            orders = [[o[i] for i in idx] for o in orders]
-    for order in orders:
-        yield from _match_seq(pats, order, th, binding, leq)
+            subjs = [subjs[i] for i in idx]
+    yield from _match_seq(pats, subjs, th, binding, leq)
 
 
 def _match_nilpotent(pattern: App, subject: Term, th: EquationalTheory,
@@ -355,6 +323,10 @@ def _match_seq(pats, subjs, th, binding, leq) -> Iterator[dict]:
 
 
 def _match_ac(pats, subjs, op, sort, th, binding, leq) -> Iterator[dict]:
+    """Match the pattern atoms against the subject atoms of a sum as if
+    none cancelled: `_match_nilpotent`'s fallback.  Equal counts match by
+    permutation; with fewer pattern atoms, the first variable among them
+    absorbs the leftover subject atoms."""
     if len(pats) > len(subjs):
         return
     if len(pats) == len(subjs):

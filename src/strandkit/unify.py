@@ -1,11 +1,11 @@
-"""Unification: syntactic, modulo structural axioms, and modulo rules.
+"""Unification: syntactic, modulo exclusive-or, and modulo rules.
 
 The combined procedure follows the variant route: narrow each side with
 the oriented rules until no new variant appears, once per theory and up
 to renaming (`side_variants`), then unify every pair of variants modulo
-the structural axioms, together with the images of the variables the
-sides share.
-Exclusive-or subproblems go to a dedicated nilpotent-AC solver.  Every
+exclusive-or, together with the images of the variables the sides share.
+Free operators decompose; exclusive-or subproblems go to a dedicated
+nilpotent-AC solver, `_solve_atoms`, the only axiom solver.  Every
 candidate is verified by substitute, normalize and compare before it is
 reported, so soundness never depends on the solver internals.  Matching
 modulo the theory (`match_modulo`) runs `theory.match_ax` on the variants
@@ -87,7 +87,9 @@ def _bind(v: Var, t: Term, subst: dict, th: EquationalTheory) -> Optional[dict]:
 
 def _solve(eqns: list, subst: dict, th: EquationalTheory, budget: _Budget,
            leq=None) -> list:
-    """DFS over unification branches; returns solved substitution dicts."""
+    """DFS over unification branches; returns solved substitution dicts.
+    Free operators decompose argument by argument; a problem with a sum on
+    either side goes to the exclusive-or solver `_solve_atoms`."""
     if leq is None:
         leq = _default_leq
     if not budget.spend():
@@ -99,12 +101,6 @@ def _solve(eqns: list, subst: dict, th: EquationalTheory, budget: _Budget,
     b = canon(_apply(subst, b), th)
     if a == b:
         return _solve(rest, subst, th, budget, leq)
-    out: list = []
-
-    def try_branches(branches):
-        for new_subst, new_eqns in branches:
-            out.extend(_solve(new_eqns + rest, new_subst, th, budget, leq))
-
     # Variable cases
     for x, y in ((a, b), (b, a)):
         if isinstance(x, Var):
@@ -119,11 +115,9 @@ def _solve(eqns: list, subst: dict, th: EquationalTheory, budget: _Budget,
                 s2 = _bind(x, y, subst, th)
             else:
                 s2 = None
-            if s2 is not None:
-                try_branches([(s2, [])])
-            return out
+            return [] if s2 is None else _solve(rest, s2, th, budget, leq)
     if isinstance(a, FreshConst) or isinstance(b, FreshConst):
-        return out  # unequal fresh constants (or constant vs application)
+        return []  # unequal fresh constants (or constant vs application)
     # Both are applications.  Sums take the sort of the side that is one,
     # whichever side of the problem that is.
     nil = a if a.op in th.nilpotent else b if b.op in th.nilpotent else None
@@ -131,47 +125,24 @@ def _solve(eqns: list, subst: dict, th: EquationalTheory, budget: _Budget,
         # each candidate is a list of (left, right) constraints; a Var on
         # the left proposes a binding, anything else is a residual equation
         atoms = sym_diff(ac_atoms(a, nil.op, th) + ac_atoms(b, nil.op, th))
-        branches = []
+        out: list = []
         for partial in _solve_atoms(atoms, nil.sort, nil.op, th, budget,
                                     leq):
-            s2 = dict(subst)
-            ok = True
-            new_eqns = []
+            s2, new_eqns = subst, []
             for v, t in partial:
-                if isinstance(v, Var):
-                    if not leq(least_sort(t), v.sort):
-                        ok = False
-                        break
-                    s3 = _bind(v, t, s2, th)
-                    if s3 is None:
-                        ok = False
-                        break
-                    s2 = s3
-                else:
+                if not isinstance(v, Var):
                     new_eqns.append((v, t))
-            if ok:
-                branches.append((s2, new_eqns))
-        try_branches(branches)
+                    continue
+                s2 = _bind(v, t, s2, th) \
+                    if leq(least_sort(t), v.sort) else None
+                if s2 is None:
+                    break
+            else:
+                out.extend(_solve(new_eqns + rest, s2, th, budget, leq))
         return out
-    if a.op != b.op:
-        return out
-    ax = th.axiom(a.op)
-    if ax is not None and ax.assoc and ax.comm:
-        # Same AC operator without nilpotence: permutation branches.
-        if len(a.args) != len(b.args):
-            return out
-        for perm in itertools.permutations(range(len(b.args))):
-            try_branches([(dict(subst),
-                           [(a.args[i], b.args[perm[i]]) for i in range(len(a.args))])])
-        return out
-    if len(a.args) != len(b.args):
-        return out
-    orders = [b.args]
-    if ax is not None and ax.comm and len(b.args) == 2:
-        orders = [b.args, b.args[::-1]]
-    for order in orders:
-        try_branches([(dict(subst), list(zip(a.args, order)))])
-    return out
+    if a.op != b.op or len(a.args) != len(b.args):
+        return []
+    return _solve(list(zip(a.args, b.args)) + rest, subst, th, budget, leq)
 
 
 def _default_leq(s1: str, s2: str) -> bool:

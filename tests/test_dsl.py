@@ -80,8 +80,24 @@ def test_unknown_identifier_rejected():
     assert exc.value.diagnostic.code == "E009"
 
 
-def test_print_parse_roundtrip(nsl, nsl_db, nsl_kd):
-    for doc in (nsl, nsl_db, nsl_kd):
+@pytest.mark.parametrize("attrs", ["assoc comm", "comm", "assoc",
+                                   "unit(e)"])
+def test_axioms_other_than_exclusive_or_are_rejected(attrs):
+    src = f"""protocol P {{
+      op f : Msg Msg -> Msg ;
+      op e : -> Msg ;
+      axiom f {attrs} ;
+    }}"""
+    with pytest.raises(SpecError) as exc:
+        parse_document(src)
+    assert exc.value.diagnostic.code == "E005"
+
+
+def test_print_parse_roundtrip():
+    """Every shipped spec parses, validates and prints back to itself."""
+    for path in sorted(SPECS.glob("*.strand")):
+        doc = load(path.name)
+        assert validate_composition(doc) == [], path.name
         for proto in doc.protocols:
             text = print_protocol(proto)
             reparsed = parse_document(text).protocols[-1]

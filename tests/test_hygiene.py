@@ -103,7 +103,9 @@ _MUTABLE_CALLS = {"dict", "set", "list", "count", "defaultdict", "deque",
 def _module_state(path: pathlib.Path) -> list:
     """Module-level names, not written ALL-CAPS, bound to a mutable
     container or a counter: a list, dict or set display or comprehension,
-    or a call of a container type or `itertools.count`."""
+    or a call of a container type or `itertools.count`; and module-level
+    names of any case bound to an `EquationalTheory(...)`, which holds
+    memos."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     out = []
     for node in tree.body:
@@ -116,12 +118,13 @@ def _module_state(path: pathlib.Path) -> list:
         func = value.func if isinstance(value, ast.Call) else None
         called = func.id if isinstance(func, ast.Name) else \
             func.attr if isinstance(func, ast.Attribute) else None
-        if not (isinstance(value, (ast.List, ast.Dict, ast.Set, ast.ListComp,
-                                   ast.DictComp, ast.SetComp))
-                or called in _MUTABLE_CALLS):
+        theory = called == "EquationalTheory"
+        if not (theory or called in _MUTABLE_CALLS or isinstance(
+                value, (ast.List, ast.Dict, ast.Set, ast.ListComp,
+                        ast.DictComp, ast.SetComp))):
             continue
         out += [(node.lineno, t.id) for t in targets
-                if isinstance(t, ast.Name) and not t.id.isupper()]
+                if isinstance(t, ast.Name) and (theory or not t.id.isupper())]
     return out
 
 
@@ -132,10 +135,12 @@ def test_scan_finds_module_state(tmp_path):
                    "_ids = itertools.count()\n"
                    "_table = weakref.WeakValueDictionary()\n"
                    "TABLE = {'a': 1}\n_CAP = dict(a=1)\nname = 'x'\n"
-                   "pair = (1, 2)\n\n\ndef f():\n    local = []\n"
-                   "    return local\n")
+                   "pair = (1, 2)\nEMPTY = EquationalTheory()\n"
+                   "th = theory.EquationalTheory(rules=())\n\n\n"
+                   "def f():\n    local = []\n    return local\n")
     assert _module_state(mod) == [(4, "_box"), (5, "cache"), (6, "seen"),
-                                  (7, "_ids"), (8, "_table")]
+                                  (7, "_ids"), (8, "_table"), (13, "EMPTY"),
+                                  (14, "th")]
 
 
 def test_no_module_state_but_the_allowed():

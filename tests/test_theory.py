@@ -104,6 +104,16 @@ def test_irregular_rules_rejected():
         EquationalTheory(rules=((App("f", (Var("X"),)), Var("Y")),))
 
 
+@pytest.mark.parametrize("decl", [
+    dict(assoc=True, comm=True), dict(comm=True), dict(assoc=True),
+    dict(unit=ZERO), dict(assoc=True, comm=True, unit=ZERO),
+    dict(assoc=True, comm=True, nilpotent=True),
+], ids=["AC", "C", "A", "U", "ACU", "AC-nilpotent"])
+def test_only_exclusive_or_axioms_are_accepted(decl):
+    with pytest.raises(IrregularRule):
+        AxiomDecl(**decl)
+
+
 def test_match_modulo_ac(xor_theory):
     a, b = const("a"), const("b")
     X = Var("X")

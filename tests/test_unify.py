@@ -23,7 +23,6 @@ from strandkit.terms import (
     variables,
 )
 from strandkit.theory import (
-    EMPTY_THEORY,
     AxiomDecl,
     EquationalTheory,
     StepBudgetExceeded,
@@ -66,7 +65,7 @@ ED_TH = EquationalTheory(rules=((d(X, e(X, Z)), Z), (e(X, d(X, Z)), Z)))
 
 def syntactic_unify(t1, t2):
     """The most general syntactic unifier of t1 and t2, or None."""
-    got = unify_canonical(t1, t2, EMPTY_THEORY)
+    got = unify_canonical(t1, t2, EquationalTheory())
     assert len(got) <= 1
     return got[0] if got else None
 
@@ -162,6 +161,19 @@ def test_xor_unify_alien_pairing():
     a = const("a")
     got = unify_modulo(xor(f(X), f(a)), ZERO, XOR_TH)
     assert any(s(X) == a for s in got)
+
+
+def test_xor_unify_pairs_alien_atoms():
+    """No atom of the sum is a variable that could take the rest, so each
+    f-atom of one side cancels against one of the other side's: the
+    solver pairs them both ways."""
+    f = lambda t: App("f", (t,), "Msg")
+    a, b = const("a"), const("b")
+    got = unify_modulo(xor(f(X), f(Y)), xor(f(a), f(b)), XOR_TH)
+    assert got.complete
+    assert len(got) == 2
+    assert {frozenset(s.items()) for s in got} == {
+        frozenset({X: a, Y: b}.items()), frozenset({X: b, Y: a}.items())}
 
 
 def test_xor_unify_under_constructor():
