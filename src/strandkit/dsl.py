@@ -156,7 +156,7 @@ class Document:
     diagnostics: list = field(default_factory=list)
     # the protocols' merged signature and theory, built on first use and
     # shared by every spec made from the document, so that they share the
-    # theory's memos as well
+    # theory's memos and the forms it keeps on term nodes as well
     _signature: Optional[Signature] = field(default=None, compare=False,
                                             repr=False)
     _theory: Optional[EquationalTheory] = field(default=None, compare=False,

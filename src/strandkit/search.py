@@ -37,13 +37,7 @@ from .semantics import (
 from .terms import FRESH, App, FreshConst, Var, _apply, fresh_constants, \
     is_ground, term_key, term_size, variables
 from .theory import canon, canonical_leaf, match_ax, normalize
-from .theory import memo_entries as theory_memo_entries
-from .unify import match_modulo
-from .unify import memo_entries as unify_memo_entries
-
-# how many earlier states per structural bucket the subsumption check
-# compares against; the matcher is quadratic in bucket size without a cap
-_SUBSUME_SCAN_CAP = 48
+from .unify import match_modulo, memo_entries
 
 
 def _peak_rss_mb() -> float:
@@ -374,11 +368,10 @@ def reachability_search(start: SymbolicState, spec: RuntimeSpec, mode: str,
                 continue
             bucket = kept.setdefault(_skeleton(pred), [])
             nf = len(pred.facts)
-            # bound the scan so subsumption cost stays linear overall
             if any(len(g.state.facts) <= nf and g.state.depth <= pred.depth
                    and _state_instance_of(pred, g, th, subsumes,
                                           extra_facts=True)
-                   for g in bucket[:_SUBSUME_SCAN_CAP]):
+                   for g in bucket):
                 stats["subsumed"] += 1
                 continue
             if focus is None and demands is None:
@@ -461,8 +454,7 @@ def _finish(verdict, node, stats, t0, theory, complete,
             reason=None) -> SearchResult:
     stats = dict(stats)
     stats["verdict"] = verdict
-    stats["memo_entries"] = {**theory_memo_entries(theory),
-                             **unify_memo_entries(theory)}
+    stats["memo_entries"] = memo_entries(theory)
     stats["complete"] = complete
     if reason:
         stats["reason"] = reason

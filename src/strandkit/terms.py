@@ -126,10 +126,13 @@ class App:
 
     A node is `closed` when no variable or fresh constant occurs in it.
     Its `term_key`, `skeleton` and `leaves` are computed on first use and
-    kept; a closed node keeps only the first."""
+    kept; a closed node keeps only the first.  `_canon` and `_norm` keep
+    its canonical and normal form under one theory (`theory.canon`,
+    `theory.normalize`): the theory alone when the node is its own form,
+    else the pair (theory, form).  So a form lives as long as its node."""
 
     __slots__ = ("op", "args", "sort", "closed", "_hash", "_key", "_skel",
-                 "_leaves", "__weakref__")
+                 "_leaves", "_canon", "_norm", "__weakref__")
 
     def __new__(cls, op: str, args: tuple = (), sort: str = MSG) -> "App":
         ident = (op, args, sort)
@@ -148,6 +151,8 @@ class App:
             init(node, "_key", None)
             init(node, "_skel", None)
             init(node, "_leaves", None)
+            init(node, "_canon", None)
+            init(node, "_norm", None)
             _interned[ident] = node
         return node
 

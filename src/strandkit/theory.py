@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import count, islice, permutations
+from itertools import count, permutations
 from typing import Iterator, Optional, Sequence
 
 from .terms import (
@@ -61,13 +61,9 @@ class EquationalTheory:
     rules: tuple = ()
     axioms: tuple = ()  # tuple of (opname, AxiomDecl)
     step_budget: int = 10000
-    # Memos of `canon`, `normalize`, `unify.unify_modulo` and
-    # `unify.side_variants`, keyed by hash-consed term nodes.  They are
-    # not part of the theory's value.
-    _canon_cache: dict = field(default_factory=dict, init=False, repr=False,
-                               compare=False)
-    _norm_cache: dict = field(default_factory=dict, init=False, repr=False,
-                              compare=False)
+    # Memos of `unify.unify_modulo` and `unify.side_variants`, keyed by
+    # hash-consed term nodes.  They are not part of the theory's value;
+    # canonical and normal forms live on the nodes themselves.
     _unify_cache: dict = field(default_factory=dict, init=False, repr=False,
                                compare=False)
     _variant_cache: dict = field(default_factory=dict, init=False,
@@ -139,24 +135,6 @@ class EquationalTheory:
                                 max(self.step_budget, other.step_budget))
 
 
-# Entry caps of the memos below.  The shipped benchmark workloads stay
-# below both.
-CANON_CACHE_CAP = 500_000
-NORM_CACHE_CAP = 200_000
-
-
-def memo_put(cache: dict, key, value, cap: int) -> None:
-    """Store value under key in a memo of at most cap entries.  A full memo
-    first drops its oldest entries, in insertion order: one, plus one per
-    64 of its cap, since finding the oldest entry of a dict costs a scan
-    over the slots of those dropped before it.  A hit costs nothing, as no
-    order is kept but the dict's own."""
-    if len(cache) >= cap and key not in cache:
-        for old in list(islice(cache, 1 + cap // 64)):
-            del cache[old]
-    cache[key] = value
-
-
 def canonical_leaf(th: EquationalTheory, prefix: str, i: int, sort: str):
     """The leaf printed `{prefix}{i}` of the sort, one object per theory:
     the variable of that name, or for the prefix "c!" the fresh constant
@@ -174,16 +152,28 @@ def canonical_leaf(th: EquationalTheory, prefix: str, i: int, sort: str):
 
 
 def canon(t: Term, th: EquationalTheory) -> Term:
-    """Canonical form modulo the structural axioms (no rule rewriting)."""
+    """Canonical form modulo the structural axioms (no rule rewriting),
+    kept in the node's `_canon` slot for as long as the node lives."""
     if not isinstance(t, App) or not t.args:
         return t
-    cache = th._canon_cache
-    hit = cache.get(t)
-    if hit is not None:
-        return hit
-    out = _canon_app(t, th)
-    memo_put(cache, t, out, CANON_CACHE_CAP)
-    return out
+    got = t._canon
+    if got is th:
+        return t
+    if got.__class__ is tuple and got[0] is th:
+        return got[1]
+    return _keep(t, "_canon", _canon_app(t, th), th)
+
+
+def _keep(t: App, slot: str, form: Term, th: EquationalTheory) -> Term:
+    """Keep form as t's form under th in t's slot and return it.  A form
+    node is marked with th alone, so no node refers to itself."""
+    if form is t:
+        object.__setattr__(t, slot, th)
+    else:
+        object.__setattr__(t, slot, (th, form))
+        if form.__class__ is App:
+            object.__setattr__(form, slot, th)
+    return form
 
 
 def _canon_app(t: App, th: EquationalTheory) -> Term:
@@ -380,35 +370,37 @@ def normalize(t: Term, th: EquationalTheory) -> Term:
     when the rewritten term nests too deep for the stack, which flags a
     non-terminating rule set rather than looping forever.
 
-    Normal forms are memoized per theory: backward search renormalizes the
-    same payloads constantly.
+    Backward search renormalizes the same payloads constantly, so the
+    normal forms of t and of the subterms met on the way are kept in
+    their nodes' `_norm` slots, for as long as the nodes live.
     """
     if not isinstance(t, App):
         return t  # rules have non-variable left sides
-    cache = th._norm_cache
-    got = cache.get(t)
-    if got is None:
-        budget = _Budget(th.step_budget)
-        try:
-            got = _normalize(canon(t, th), th, budget)
-        except RecursionError:
-            # a rule whose right side nests its left side nests the term
-            # deeper at every step, and the stack runs out before the budget
-            raise StepBudgetExceeded("rewrite step budget exhausted") \
-                from None
-        memo_put(cache, t, got, NORM_CACHE_CAP)
-        memo_put(cache, got, got, NORM_CACHE_CAP)
-    return got
-
-
-def memo_entries(th: EquationalTheory) -> dict:
-    """Current entry counts of th's canonical-form and normal-form memos."""
-    return {"canon": len(th._canon_cache), "normalize": len(th._norm_cache)}
+    got = t._norm
+    if got is th:
+        return t
+    if got.__class__ is tuple and got[0] is th:
+        return got[1]
+    try:
+        out = _normalize(canon(t, th), th, _Budget(th.step_budget))
+    except RecursionError:
+        # a rule whose right side nests its left side nests the term
+        # deeper at every step, and the stack runs out before the budget
+        raise StepBudgetExceeded("rewrite step budget exhausted") from None
+    return _keep(t, "_norm", out, th)
 
 
 def _normalize(t: Term, th: EquationalTheory, budget: _Budget) -> Term:
+    """The normal form of the canonical t, read from or kept in the
+    `_norm` slot of each application met."""
     if not isinstance(t, App):
         return t
+    got = t._norm
+    if got is th:
+        return t
+    if got.__class__ is tuple and got[0] is th:
+        return got[1]
+    start = t
     args = tuple(_normalize(a, th, budget) for a in t.args)
     t = canon(App(t.op, args, t.sort), th)
     while isinstance(t, App):
@@ -416,14 +408,14 @@ def _normalize(t: Term, th: EquationalTheory, budget: _Budget) -> Term:
         if rewritten is None:
             # a root canon step (flattening) can expose inner redexes only
             # when arguments changed, and those are already normal
-            return t
+            break
         t = rewritten
         if isinstance(t, App):
             t = canon(App(t.op, tuple(_normalize(a, th, budget) for a in t.args),
                           t.sort), th)
         else:
             t = canon(t, th)
-    return t
+    return _keep(start, "_norm", t, th)
 
 
 def _rewrite_root(t: App, th: EquationalTheory, budget: _Budget) -> Optional[Term]:

@@ -41,7 +41,6 @@ from .theory import (
     canonical_leaf,
     eq_modulo,
     match_ax,
-    memo_put,
     normalize,
     sym_diff,
 )
@@ -280,10 +279,21 @@ def _narrow_once(u: Term, sigma: Subst, th: EquationalTheory, names):
     return results
 
 
-# entry caps of each theory's unifier and variant memos (see
-# `theory.memo_put`)
+# entry caps of each theory's unifier and variant memos
 UNIFY_CACHE_CAP = 100_000
 VARIANT_CACHE_CAP = 20_000
+
+
+def memo_put(cache: dict, key, value, cap: int) -> None:
+    """Store value under key in a memo of at most cap entries.  A full memo
+    first drops its oldest entries, in insertion order: one, plus one per
+    64 of its cap, since finding the oldest entry of a dict costs a scan
+    over the slots of those dropped before it.  A hit costs nothing, as no
+    order is kept but the dict's own."""
+    if len(cache) >= cap and key not in cache:
+        for old in list(itertools.islice(cache, 1 + cap // 64)):
+            del cache[old]
+    cache[key] = value
 
 
 def memo_entries(th: EquationalTheory) -> dict:

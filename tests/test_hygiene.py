@@ -149,6 +149,36 @@ def test_no_module_state_but_the_allowed():
     assert found == set(MODULE_STATE), found
 
 
+# The fields of `EquationalTheory` that are not part of its value: state
+# that lives as long as the theory, each with the reason it is there.
+THEORY_STATE = {
+    "_unify_cache": "the memo of `unify_modulo` up to renaming, capped by "
+                    "`UNIFY_CACHE_CAP`",
+    "_variant_cache": "the memo of `side_variants` up to renaming, capped "
+                      "by `VARIANT_CACHE_CAP`",
+    "_canon_leaves": "one shared leaf per name, so that renamed copies "
+                     "compare by identity; as many as the widest renaming",
+    "nilpotent": "each exclusive-or operator's unit, read from the axioms "
+                 "once",
+    "_match_gaps": "how often `match_ax` may have lost matchers, which "
+                   "`match_modulo` reads to flag an incomplete answer",
+    "_back_ids": "the suffixes `_Renaming.back` numbers variables with, "
+                 "so that they stay apart within the theory",
+}
+
+
+def test_no_theory_state_but_the_allowed():
+    """A new memo or counter on the theory must give its reason here;
+    canonical and normal forms live on the term nodes instead."""
+    import dataclasses
+
+    from strandkit.theory import EquationalTheory
+
+    found = {f.name for f in dataclasses.fields(EquationalTheory)
+             if not f.compare}
+    assert found == set(THEORY_STATE), found
+
+
 @pytest.mark.parametrize("make", [
     lambda terms: terms.App("f", (terms.Var("X"),)),
     lambda terms: terms.Var("X"),

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from strandkit.terms import App, FreshConst, Subst, Var, const, term_key
@@ -85,6 +88,41 @@ def test_normalize_is_idempotent(cancel_theory):
     t = App("pk", (a, App("sk", (a, Var("M")), "Msg")), "Msg")
     nf = normalize(t, cancel_theory)
     assert normalize(nf, cancel_theory) == nf
+
+
+@pytest.mark.parametrize("first", ["rules", "bare"])
+def test_one_node_keeps_a_form_per_theory(xor_theory, first):
+    """A node put in form under two theories, in either order, gives each
+    theory its own answer: the forms on a node are tagged by theory."""
+    a, k, m = const("a"), const("k"), const("m")
+    K, M = Var("K"), Var("M")
+    dec = lambda key, x: App("d", (key, App("e", (key, x))))
+    ed_theory = EquationalTheory(rules=((dec(K, M), M),))
+    bare = EquationalTheory()
+    for form, t, th, want in [(canon, xor(a, a), xor_theory, ZERO),
+                              (normalize, xor(a, a), xor_theory, ZERO),
+                              (normalize, dec(k, m), ed_theory, m)]:
+        pairs = [(th, want), (bare, t)]
+        if first == "bare":
+            pairs.reverse()
+        for theory, answer in pairs + pairs:
+            assert form(t, theory) is answer
+            assert form(t, theory) is answer  # now read from the node
+
+
+def test_forms_die_with_their_nodes(xor_theory, cancel_theory):
+    """A term's canonical and normal forms are kept on its node, so once
+    the term is gone nothing keeps them: no memo on the theory pins them."""
+    a, b, c = const("weak-a"), const("weak-b"), const("weak-c")
+    n = const("weak-n", "Name")
+    t = xor(xor(a, b), c)
+    u = App("sk", (n, App("pk", (n, App("h", (a, b), "Msg")), "Msg")), "Msg")
+    forms = [weakref.ref(canon(t, xor_theory)),
+             weakref.ref(normalize(u, cancel_theory))]
+    assert all(r() is not None for r in forms)
+    del t, u
+    gc.collect()
+    assert [r() for r in forms] == [None, None]
 
 
 def test_step_budget_flags_nontermination():
