@@ -369,6 +369,8 @@ class Grammar:
         """Unifiers of t and e that keep every assumed term irreducible (a
         reducible term stays so in all instances); None when they cannot
         all be computed."""
+        if self.apart(t, e):
+            return []
         if self._memo is not None:
             key = (t, e, frozenset(assumed or ()))
             if key in self._memo:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -575,6 +576,71 @@ def level_states(start: SymbolicState, spec: RuntimeSpec, mode: str,
     return (states for _, states in _levels(start, spec, mode, depth))
 
 
+def _side_by_side(here, there) -> tuple:
+    """`(here(), there())`, with `there()` computed in a forked child
+    process while this process computes `here()`.
+
+    The child pickles `(True, value)`, or `(False, exception)` when
+    `there()` raises, into a pipe and ends with `os._exit`, so it never
+    flushes this process's buffers or runs its exit handlers; the value
+    must pickle, and should be small.  This process reads the pipe to its
+    end, then reaps the child, and raises the child's exception again with
+    its type and message.  When `here()` raises, an interrupt included,
+    the child is killed and reaped first.  Where the platform cannot fork,
+    both run here, one after the other.  The package starts no threads,
+    so the child is a safe copy of this process, warm memos included.
+    """
+    import pickle  # only a comparison pays for the import
+    import signal
+
+    if not hasattr(os, "fork"):
+        return here(), there()
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return here(), there()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            try:
+                out = (True, there())
+            except BaseException as exc:  # raised again by the parent
+                out = (False, exc)
+            with open(w, "wb") as f:
+                pickle.dump(out, f)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    with open(r, "rb") as f:
+        try:
+            mine = here()
+            data = f.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            raise
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code != 0:
+        raise ChildProcessError(f"forked search ended with code {code} "
+                                "and no result")
+    ok, value = pickle.loads(data)
+    if not ok:
+        raise value
+    return mine, value
+
+
+def _timed_level_keys(*args, **kwargs) -> tuple:
+    """`level_keys` and its wall time in milliseconds."""
+    t0 = time.monotonic()
+    levels = level_keys(*args, **kwargs)
+    return levels, int((time.monotonic() - t0) * 1000)
+
+
 def bisimulation_report(abs_start: SymbolicState, abs_spec: RuntimeSpec,
                         sync_start: SymbolicState, sync_spec: RuntimeSpec,
                         depth: int) -> dict:
@@ -582,11 +648,16 @@ def bisimulation_report(abs_start: SymbolicState, abs_spec: RuntimeSpec,
 
     Sync-side states are translated back to the abstract view; the two
     searches match when each depth level reaches exactly the same set of
-    canonical states.
+    canonical states.  The two searches share nothing, so the sync side
+    runs in a forked child process (`_side_by_side`) while the caller runs
+    the abstract side, and only its level keys, tuples of strings and
+    integers, come back.  `abstract_ms` and `sync_ms` give the wall time
+    of each side, measured in the process that ran it.
     """
-    a_levels = level_keys(abs_start, abs_spec, ABSTRACT, depth)
-    s_levels = level_keys(sync_start, sync_spec, SYNC, depth,
-                          view=lambda st: trans_inv(st, sync_spec))
+    (a_levels, a_ms), (s_levels, s_ms) = _side_by_side(
+        lambda: _timed_level_keys(abs_start, abs_spec, ABSTRACT, depth),
+        lambda: _timed_level_keys(sync_start, sync_spec, SYNC, depth,
+                                  view=lambda st: trans_inv(st, sync_spec)))
     levels = []
     equivalent = True
     for d in range(depth + 1):
@@ -596,4 +667,5 @@ def bisimulation_report(abs_start: SymbolicState, abs_spec: RuntimeSpec,
         levels.append({"depth": d, "abstract_states": len(a),
                        "sync_states": len(s),
                        "common": len(a & s), "matched": ok})
-    return {"equivalent": equivalent, "depth": depth, "levels": levels}
+    return {"equivalent": equivalent, "depth": depth, "levels": levels,
+            "abstract_ms": a_ms, "sync_ms": s_ms}

@@ -503,7 +503,8 @@ def _apply(m: Mapping, t):
     if not m:
         return t
     if isinstance(t, App):
-        if t.closed:
+        # a subterm none of whose leaves is bound is returned as it is
+        if t.closed or m.keys().isdisjoint(leaves(t)):
             return t
         args = t.args
         new = tuple([_apply(m, a) for a in args])

@@ -181,7 +181,7 @@ def test_criterion_05_rule_set_comparison(compare_states, nsl_db):
     # corrupting every 1-1 synchronization to 1-* on the explicit side
     # makes the two rule sets disagree from the first layer where a
     # shared parent becomes possible
-    from test_search import corrupt_modes, shared_parent_start
+    from test_search import corrupt_modes, no_child_left, shared_parent_start
     sync_spec = compare_states["db"]["sync_spec"]
     abs_spec = compare_states["db"]["abs_spec"]
     good_start = shared_parent_start(sync_spec)
@@ -196,6 +196,7 @@ def test_criterion_05_rule_set_comparison(compare_states, nsl_db):
     assert not bad_report["equivalent"], bad_report
     first_bad = next(lv for lv in bad_report["levels"] if not lv["matched"])
     assert first_bad["sync_states"] > first_bad["common"]
+    no_child_left()
 
 
 def test_criterion_06_view_translation_bijection(compare_states):

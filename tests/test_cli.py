@@ -1,5 +1,6 @@
 """Command-line interface: exit codes and JSON report shapes."""
 import json
+import os
 import pathlib
 
 import pytest
@@ -255,7 +256,11 @@ def test_compare_equivalent_exit_and_json(tmp_path, capsys):
     report = json.loads((out / "compare.json").read_text())
     assert report["equivalent"] is True
     assert len(report["levels"]) == 3
+    # each side's wall time, taken in the process that ran it
+    assert report["abstract_ms"] > 0 and report["sync_ms"] > 0
     assert schema_check(report, load_schema("compare.schema.json")) == []
+    with pytest.raises(ChildProcessError):  # the sync side's child is reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 # ---------------------------------------------------------------- oracle

@@ -149,6 +149,64 @@ def test_no_module_state_but_the_allowed():
     assert found == set(MODULE_STATE), found
 
 
+# where the package may start a process, each with its reason, by module
+# and top-level function
+PROCESSES = {
+    ("search.py", "_side_by_side"): "runs one side of a rule-set "
+                                    "comparison in a forked child; one "
+                                    "place owns the process, so one place "
+                                    "reaps it",
+}
+_PROCESS_MODULES = {"subprocess", "multiprocessing"}
+
+
+def _process_uses(path: pathlib.Path) -> list:
+    """Uses of `os.fork`, `subprocess` or `multiprocessing`, by line and
+    enclosing top-level definition (None at module level): an import of
+    either module or of `fork` from `os`, or an attribute or name by those
+    names."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+
+    def used(node) -> bool:
+        if isinstance(node, ast.Import):
+            return any(a.name.split(".")[0] in _PROCESS_MODULES
+                       for a in node.names)
+        if isinstance(node, ast.ImportFrom):
+            root = (node.module or "").split(".")[0]
+            return root in _PROCESS_MODULES or root == "os" and any(
+                a.name == "fork" for a in node.names)
+        if isinstance(node, ast.Attribute):
+            return node.attr == "fork" and isinstance(node.value, ast.Name) \
+                and node.value.id == "os" or node.attr in _PROCESS_MODULES
+        return isinstance(node, ast.Name) and node.id in _PROCESS_MODULES
+
+    out = set()
+    for top in tree.body:
+        name = getattr(top, "name", None)  # a def or class, else None
+        out |= {(node.lineno, name) for node in ast.walk(top) if used(node)}
+    return sorted(out, key=lambda u: u[0])
+
+
+def test_scan_finds_process_uses(tmp_path):
+    mod = tmp_path / "m.py"
+    mod.write_text("import os\nimport subprocess\n\n\n"
+                   "def f():\n    return os.fork()\n\n\n"
+                   "def g():\n    import multiprocessing.pool\n"
+                   "    from os import fork, getpid\n"
+                   "    return getpid()\n\n\n"
+                   "def h(x):\n    return x.fork, os.getpid()\n\n\n"
+                   "class C:\n    def run(self):\n"
+                   "        return subprocess.run\n")
+    assert _process_uses(mod) == [(2, None), (6, "f"), (10, "g"),
+                                  (11, "g"), (21, "C")]
+
+
+def test_no_process_but_the_allowed():
+    found = {(path.name, name) for path in MODULES
+             for _, name in _process_uses(path)}
+    assert found == set(PROCESSES), found
+
+
 # The fields of `EquationalTheory` that are not part of its value: state
 # that lives as long as the theory, each with the reason it is there.
 THEORY_STATE = {

@@ -154,6 +154,33 @@ def test_term_queries_agree_with_recursion(t, ts):
                                         if isinstance(x, FreshConst)}
 
 
+def _apply_rebuilding(m, t):
+    """`_apply` that builds every node again, bound leaves or not."""
+    if isinstance(t, App):
+        return App(t.op, tuple([_apply_rebuilding(m, a) for a in t.args]),
+                   t.sort)
+    got = m.get(t)
+    if got is None:
+        return t
+    return _apply_rebuilding(m, got) if isinstance(got, Var) and got in m \
+        and got != t else got
+
+
+# maps of the leaves of app_terms; a binding to a bound variable is
+# followed, so X and Y are not bound to each other
+leaf_maps = st.dictionaries(
+    st.sampled_from([X, Y, FreshConst(1)]), app_terms, max_size=3).filter(
+    lambda m: not (m.get(X) == Y and m.get(Y) == X))
+
+
+@settings(max_examples=300, deadline=None)
+@given(app_terms, leaf_maps)
+def test_apply_agrees_with_rebuilding(t, m):
+    assert _apply(m, t) is _apply_rebuilding(m, t)
+    if m.keys().isdisjoint(_leaves_below(t)):
+        assert _apply(m, t) is t
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.permutations([A_, B_, C_, X, Y]))
 def test_ac_permutation_canonical(parts):

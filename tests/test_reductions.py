@@ -264,14 +264,24 @@ def _exception_count(grammar) -> int:
         for exceptions in prods.values())
 
 
-@pytest.mark.parametrize("fname,attack,mode", [
+def _build_grammar(fname, attack, mode) -> Grammar:
+    doc = load(fname)
+    spec = runtime_spec(doc, mode)
+    return Grammar(spec, mode,
+                   attack_state(doc, attack, spec, Minter()).strands)
+
+
+GRAMMAR_CASES = [
     ("nsl.strand", "secrecy", BASIC),
     ("nsl_db.strand", "a1", SYNC),
     ("nsl_db.strand", "a1", ABSTRACT),
     ("nsl_db_fix.strand", "a1", SYNC),
     ("nsl_kd.strand", "keyleak", SYNC),
     ("nsl_kd.strand", "keyleak", ABSTRACT),
-])
+]
+
+
+@pytest.mark.parametrize("fname,attack,mode", GRAMMAR_CASES)
 def test_grammar_closure_is_closed(monkeypatch, fname, attack, mode):
     # right after the worklist stops, one more naive pass refines every
     # production and the atoms against every send, with memos of its own:
@@ -298,12 +308,30 @@ def test_grammar_closure_is_closed(monkeypatch, fname, attack, mode):
         self._memo = memo
 
     monkeypatch.setattr(Grammar, "_close", close_then_pass)
-    doc = load(fname)
-    spec = runtime_spec(doc, mode)
-    grammar = Grammar(spec, mode,
-                      attack_state(doc, attack, spec, Minter()).strands)
+    grammar = _build_grammar(fname, attack, mode)
     assert added == [0]
     # the closure's memos and read sets go with it
     assert grammar._memo is None and grammar._reads is None
     assert grammar.stats["tasks_skipped"] > 0
     assert grammar.stats["exceptions"] > 0
+
+
+@pytest.mark.parametrize("fname,attack,mode", GRAMMAR_CASES)
+def test_apart_decides_only_empty_problems(monkeypatch, fname, attack, mode):
+    # `_unifiers` answers a problem whose sides `apart` tells apart with
+    # no unifier, without unifying: each such problem of a build must be
+    # one that unification finds empty, and completely so
+    unifiers = Grammar._unifiers
+    decided = []
+
+    def recorded(self, t, e, assumed):
+        if self.apart(t, e):
+            decided.append((t, e))
+        return unifiers(self, t, e, assumed)
+
+    monkeypatch.setattr(Grammar, "_unifiers", recorded)
+    grammar = _build_grammar(fname, attack, mode)
+    assert decided
+    for t, e in decided:
+        got = unify.unify_modulo(t, e, grammar.theory, leq=grammar.leq)
+        assert not got and got.complete, (t, e)

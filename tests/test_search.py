@@ -1,5 +1,7 @@
 """Breadth-first backward reachability, tracing and comparison reports."""
+import os
 import pathlib
+import time
 
 import pytest
 
@@ -14,11 +16,13 @@ from strandkit.model import (
     instantiate,
     is_initial,
 )
+from strandkit import search
 from strandkit.search import (
     ATTACK_FOUND,
     INCONCLUSIVE,
     SECURE_FINITE,
     SearchBudget,
+    _side_by_side,
     _state_instance_of,
     bisimulation_report,
     level_keys,
@@ -29,6 +33,7 @@ from strandkit.search import (
 )
 from strandkit.semantics import ABSTRACT, BASIC, SYNC, runtime_spec, trans_inv
 from strandkit.terms import App, FreshConst, Var
+from strandkit.theory import StepBudgetExceeded
 
 SPECS = pathlib.Path(__file__).resolve().parents[1] / "specs"
 
@@ -204,6 +209,90 @@ def test_bisimulation_divergence_on_mode_corruption(nsl_db):
     assert not bad["equivalent"]
     first_bad = next(lv for lv in bad["levels"] if not lv["matched"])
     assert first_bad["sync_states"] > first_bad["common"]
+    no_child_left()
+
+
+# ---------------------------------------------- the forked comparison
+
+def no_child_left():
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def compare_problem(fname, attack):
+    """The arguments of `bisimulation_report` but the depth, as the CLI
+    builds them."""
+    doc = load(fname)
+    sync_spec = runtime_spec(doc, SYNC)
+    abs_spec = runtime_spec(doc, ABSTRACT)
+    return (attack_state(doc, attack, abs_spec, Minter()), abs_spec,
+            attack_state(doc, attack, sync_spec, Minter()), sync_spec)
+
+
+@pytest.mark.parametrize("fname,attack", [("nsl_kd.strand", "keyleak"),
+                                          ("nsl_db.strand", "a1")])
+def test_forked_report_equals_the_in_process_one(monkeypatch, fname, attack):
+    problem = compare_problem(fname, attack)
+    forked = bisimulation_report(*problem, 2)
+    no_child_left()
+    # without fork, both sides' level_keys run in this process
+    monkeypatch.delattr(os, "fork")
+    here = bisimulation_report(*problem, 2)
+    for report in (forked, here):
+        assert report.pop("abstract_ms") >= 0 and report.pop("sync_ms") >= 0
+    assert forked == here
+    assert forked["equivalent"]
+
+
+def test_failed_fork_runs_both_sides_here(monkeypatch):
+    def refuse():
+        raise OSError("fork refused")
+
+    fds = pathlib.Path("/proc/self/fd")
+    before = len(list(fds.iterdir())) if fds.is_dir() else None
+    monkeypatch.setattr(os, "fork", refuse)
+    assert _side_by_side(os.getpid, os.getpid) == (os.getpid(),) * 2
+    if before is not None:  # the pipe is closed again
+        assert len(list(fds.iterdir())) == before
+
+
+def budget_exhausted():
+    raise StepBudgetExceeded("rewrite step budget exhausted")
+
+
+@pytest.mark.parametrize("fail,raised,message", [
+    (budget_exhausted, StepBudgetExceeded, "rewrite step budget exhausted"),
+    (lambda: os._exit(3), ChildProcessError, "code 3"),
+], ids=["raises", "exits"])
+def test_sync_side_failure_reaches_the_caller(monkeypatch, fail, raised,
+                                              message):
+    # patched before the fork, so the child inherits it: only the sync
+    # side translates its states to the abstract view
+    monkeypatch.setattr(search, "trans_inv", lambda st, spec: fail())
+    problem = compare_problem("nsl_db.strand", "a1")
+    with pytest.raises(raised, match=message):
+        bisimulation_report(*problem, 1)
+    no_child_left()
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_abstract_side_failure_kills_the_child(monkeypatch, error):
+    level_keys = search.level_keys
+
+    def stalled_or_failing(start, spec, mode, depth, view=None):
+        if view is None:
+            raise error("abstract side failed")
+        time.sleep(60)  # a child left to finish would hold the test here
+        return level_keys(start, spec, mode, depth, view)
+
+    monkeypatch.setattr(search, "level_keys", stalled_or_failing)
+    problem = compare_problem("nsl_db.strand", "a1")
+    t0 = time.monotonic()
+    with pytest.raises(error, match="abstract side failed"):
+        bisimulation_report(*problem, 1)
+    assert time.monotonic() - t0 < 30
+    no_child_left()
 
 
 # ------------------------------------------------------ the state matcher
