@@ -211,10 +211,6 @@ class _Parser:
         t = self.peek()
         return t.kind == kind and (text is None or t.text == text)
 
-    def error(self, code: str, msg: str) -> SpecError:
-        t = self.peek()
-        return SpecError(t.line, t.col, code, msg)
-
 
 class _Env:
     """Name resolution context for term parsing."""
@@ -943,14 +939,13 @@ def _fresh_msg_var(vars_: dict, base: str, sort: str) -> Var:
 # ---------------------------------------------------------- attack states
 
 def attack_state(doc: Document, attack_name: str, spec: ProtocolSpec,
-                 minter: Minter, th: Optional[EquationalTheory] = None) -> SymbolicState:
+                 minter: Minter) -> SymbolicState:
     """Build the symbolic pattern state an analysis starts from, with
     parameter lists where the role's schema in spec has them."""
     if attack_name not in doc.attacks:
         raise KeyError(f"no attack named {attack_name}")
     atk = doc.attacks[attack_name]
-    if th is None:
-        th = spec.theory
+    th = spec.theory
     fresh_map = {Var(n, FRESH): minter.fresh(n) for n in atk.fresh_names}
     s = Subst(fresh_map, _trusted=True)
     strands = []

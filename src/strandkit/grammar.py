@@ -66,8 +66,6 @@ from .terms import (
 )
 from .theory import canon, normalize
 from .unify import (
-    BRANCH_BUDGET,
-    _Budget,
     match_modulo,
     side_variants,
     unify_canonical,
@@ -215,7 +213,7 @@ class Grammar:
             return any(not excl for _, excl, _ in
                        self._sum_derivations(t, base, assumed, frozenset()))
         return isinstance(t, App) and self.member(t, base, assumed) and \
-            self._hits(t, self._atom_exceptions, (), False, assumed) == []
+            not self._hits(t, self._atom_exceptions, (), False, assumed)
 
     def _atomic(self, t) -> bool:
         """t is a sum in no instance."""
@@ -255,9 +253,6 @@ class Grammar:
                 us = unify_modulo(_tup([a(v) for v in dom]),
                                   _tup([b(v) for v in dom]),
                                   self.theory, leq=self.leq)
-                if not us.complete:
-                    out.append((a, rest))
-                    continue
                 out += [(Subst({v: sg(a(v)) for v in dom}, _trusted=True),
                          rest) for sg in us]
         return out
@@ -281,10 +276,9 @@ class Grammar:
                 if self._reads is not None:
                     self._reads.update(((t.op, j), None))
                 path = (j,) + path
-                hits = self._hits(t, exceptions + self._atom_exceptions,
-                                  path, dp, assumed)
-                if hits is not None:
-                    yield path, excl + hits, dp
+                yield path, excl + self._hits(
+                    t, exceptions + self._atom_exceptions, path, dp,
+                    assumed), dp
 
     def _sum_derivations(self, s, base, assumed, deep):
         atoms = s.args
@@ -296,17 +290,13 @@ class Grammar:
         cancel = []  # instances in which two atoms cancel out
         for i, a in enumerate(atoms):
             for b in atoms[i + 1:]:
-                got = self._unifiers(a, b, assumed)
-                if got is None:
-                    return
-                cancel += [(sg, None) for sg in got]
+                cancel += [(sg, None) for sg in self._unifiers(a, b, assumed)]
         for a in atoms:
             for path, excl, dp in self._derivations(a, base, assumed, deep):
                 if self._reads is not None:
                     self._reads.add(None)
-                hits = self._hits(a, self._atom_exceptions, path, dp, assumed)
-                if hits is not None:
-                    yield (ATOM,) + path, cancel + excl + hits, dp
+                yield (ATOM,) + path, cancel + excl + self._hits(
+                    a, self._atom_exceptions, path, dp, assumed), dp
 
     def _hits(self, t, exceptions, path, deep, assumed):
         """Exclusions from the exceptions that apply to the path or, when
@@ -321,10 +311,7 @@ class Grammar:
                     rest = (epath[len(path):], mode)
             elif not _applies(epath, mode, path):
                 continue
-            got = self._unifiers(t, e, assumed)
-            if got is None:
-                return None
-            out += [(sg, rest) for sg in got]
+            out += [(sg, rest) for sg in self._unifiers(t, e, assumed)]
         return out
 
     def rigid(self, t) -> bool:
@@ -367,8 +354,7 @@ class Grammar:
 
     def _unifiers(self, t, e, assumed):
         """Unifiers of t and e that keep every assumed term irreducible (a
-        reducible term stays so in all instances); None when they cannot
-        all be computed."""
+        reducible term stays so in all instances)."""
         if self.apart(t, e):
             return []
         if self._memo is not None:
@@ -376,24 +362,23 @@ class Grammar:
             if key in self._memo:
                 return self._memo[key]
         th = self.theory
-        us = unify_modulo(t, e, th, leq=self.leq)
-        got = None if not us.complete else [
-            sg for sg in us if not assumed or all(
-                normalize(sg(a), th) == canon(sg(a), th) for a in assumed)]
+        got = [sg for sg in unify_modulo(t, e, th, leq=self.leq)
+               if not assumed or all(normalize(sg(a), th) == canon(sg(a), th)
+                                     for a in assumed)]
         # a unifier with variables of its own is not shared: two callers
         # holding it would share those variables
         if self._memo is not None and variables(
-                [sg[v] for sg in got or () for v in sg]) <= variables((t, e)):
+                [sg[v] for sg in got for v in sg]) <= variables((t, e)):
             self._memo[key] = got
         return got
 
     def _matches(self, pattern, t) -> bool:
-        """t may be an instance of pattern (an incomplete set of matchers
-        counts as a match); asked only while the grammar is built."""
+        """t is an instance of pattern by a matcher `match_modulo` finds;
+        asked only while the grammar is built."""
         key = (pattern, t)
         if key not in self._memo:
-            got = match_modulo(pattern, t, self.theory, leq=self.leq)
-            self._memo[key] = bool(got) or not got.complete
+            self._memo[key] = bool(match_modulo(pattern, t, self.theory,
+                                                leq=self.leq))
         return self._memo[key]
 
     # --------------------------------------------------------------- sources
@@ -456,11 +441,8 @@ class Grammar:
             given = _tup(last.payload)
             given = _apply({v: Var(f"{v.name}%P", v.sort)
                             for v in variables(given)}, given)
-            us = unify_modulo(given, _tup(head.payload), self.theory,
-                              leq=self.leq)
-            if not us.complete:
-                return [schema.items]
-            for sg in us:
+            for sg in unify_modulo(given, _tup(head.payload), self.theory,
+                                   leq=self.leq):
                 out.append(tuple(map_item(it, lambda t, sg=sg:
                                           normalize(sg(t), self.theory))
                                  for it in schema.items))
@@ -524,8 +506,6 @@ class Grammar:
         """Except each way a send produces a term of production (gen's
         operator, j) without having received a term of the language;
         `cases` are the send's `_cases` for gen."""
-        if cases is None:
-            return self._except(exceptions, gen, (j,), OPEN)
         changed = False
         for tau, t, demands, assumed in cases:
             hole = normalize(tau(gen.args[j]), self.theory)
@@ -539,8 +519,6 @@ class Grammar:
         """Except each atom of a sum a send can produce without having
         received a term of the language; `cases` are the send's `_cases`
         for any message, `received` what it received before."""
-        if cases is None:
-            return self._except(self._atom_exceptions, _ANY, (), OPEN)
         got = {normalize(d, self.theory) for d in received}
         changed = False
         for _, s, demands, assumed in cases:
@@ -587,17 +565,12 @@ class Grammar:
 
     def _cases(self, msg, received, target):
         """(unifier, produced term, demands, assumed) for every way an
-        irreducible instance of msg is an instance of target; None when
-        they cannot all be enumerated."""
+        irreducible instance of msg is an instance of target."""
         th = self.theory
         out = []
         msg_vars = variables(msg)
         for mv, theta in side_variants(msg, th):
-            budget = _Budget(BRANCH_BUDGET)
-            taus = unify_canonical(mv, target, th, leq=self.leq, budget=budget)
-            if budget.blown:
-                return None
-            for tau in taus:
+            for tau in unify_canonical(mv, target, th, leq=self.leq):
                 ranges = [tau(theta(x)) for x in msg_vars] + [tau(target)]
                 # a reducible binding has no irreducible instance at all
                 if any(normalize(r, th) != canon(r, th) for r in ranges):

@@ -196,21 +196,6 @@ class StrandSchema:
             return self.items[-1]
         return None
 
-    @property
-    def form(self) -> str:
-        has_in = self.input_item is not None
-        has_out = self.output_item is not None
-        n_msgs = sum(isinstance(it, SignedMessage) for it in self.items)
-        if has_in and has_out and n_msgs == 0:
-            return "void"
-        if has_in and has_out:
-            return "both"
-        if has_in:
-            return "child"
-        if has_out:
-            return "parent"
-        return "plain"
-
 
 @dataclass(frozen=True)
 class StrandInstance:

@@ -288,6 +288,10 @@ def reachability_search(start: SymbolicState, spec: RuntimeSpec, mode: str,
     is still a shallowest one, and states that cannot reach one within the
     depth bound wait until the rest is done.  `level_states` is the
     unpruned breadth-first reference the reductions are checked against.
+
+    A rewrite, variant or unification budget that runs out raises
+    StepBudgetExceeded: the search has no verdict to give on a step set
+    it could not compute in full.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode}")
@@ -297,8 +301,7 @@ def reachability_search(start: SymbolicState, spec: RuntimeSpec, mode: str,
     fact_cap = _default_fact_cap(spec)
     stats = {"states_explored": 0, "states_enqueued": 1, "deduped": 0,
              "subsumed": 0, "grammar_pruned": 0, "order_pruned": 0,
-             "size_pruned": 0, "incomplete_unifications": 0,
-             "max_depth_reached": 0}
+             "size_pruned": 0, "max_depth_reached": 0}
     root = _Node(start, "attack-pattern", None)
     th, leq = spec.theory, spec.signature.leq
     if _goal(start):
@@ -359,9 +362,7 @@ def reachability_search(start: SymbolicState, spec: RuntimeSpec, mode: str,
                 continue
             best[child.key] = pred.depth
             if _goal(pred):
-                complete = not truncated and \
-                    stats["incomplete_unifications"] == 0 and \
-                    stats["size_pruned"] == 0
+                complete = not truncated and stats["size_pruned"] == 0
                 return _finish(ATTACK_FOUND, child, stats, t0, th,
                                complete=complete)
             if unlearnable(pred, grammar):
@@ -386,7 +387,7 @@ def reachability_search(start: SymbolicState, spec: RuntimeSpec, mode: str,
                                complete=False,
                                reason="state budget exhausted")
             push(child)
-    if truncated or stats["incomplete_unifications"] > 0:
+    if truncated:
         return _finish(INCONCLUSIVE, None, stats, t0, th, complete=False,
                        reason="depth bound reached")
     if stats["size_pruned"] > 0:

@@ -42,7 +42,7 @@ from .terms import App, FRESH, IDENTITY, MSG, Signature, Subst, Term, \
     _apply, is_ground, term_size
 from .terms import Var as VarType
 from .theory import EquationalTheory, eq_modulo, normalize
-from .unify import UnifierSet, match_modulo, unify_modulo
+from .unify import match_modulo, unify_modulo
 
 BASIC = "basic"
 ABSTRACT = "abstract"
@@ -195,13 +195,6 @@ def backward_successors(state: SymbolicState, spec: RuntimeSpec, mode: str,
         seen_keys.add(key)
         steps.append(BackwardStep(rule, sigma, pred, made, pkey))
 
-    def unifiers(t1: Term, t2: Term) -> UnifierSet:
-        us = unify_modulo(t1, t2, th, leq=leq)
-        if stats is not None and not us.complete:
-            stats["incomplete_unifications"] = \
-                stats.get("incomplete_unifications", 0) + 1
-        return us
-
     # a demand for a bare variable is trivially satisfiable by public
     # data, so it is never used to drive explanations or merges
     active = [(fi, f) for fi, f in enumerate(state.facts)
@@ -233,7 +226,7 @@ def backward_successors(state: SymbolicState, spec: RuntimeSpec, mode: str,
                  _add_fact(_retract(state, si), IntruderFact(KNOWN, m)),
                  added=(m,))
             for fi, f in active:
-                for sg in unifiers(m, f.payload):
+                for sg in unify_modulo(m, f.payload, th, leq=leq):
                     if not sg.is_identity():
                         emit("recv", sg, _retract(state, si), fi)
             continue
@@ -245,7 +238,7 @@ def backward_successors(state: SymbolicState, spec: RuntimeSpec, mode: str,
         if emptied:
             continue
         for fi, f in active:
-            for sg in unifiers(m, f.payload):
+            for sg in unify_modulo(m, f.payload, th, leq=leq):
                 emit("send_learn", sg, _flip_fact(_retract(state, si), fi),
                      fi)
 
@@ -257,7 +250,7 @@ def backward_successors(state: SymbolicState, spec: RuntimeSpec, mode: str,
     if mode in _COMPOSE and not (in_order and uses is not None):
         for ci, c in enumerate(state.strands):
             if c.bar == 1 and focus in (None, ci):
-                _compose_rules(state, spec, mode, ci, emit, unifiers, minter)
+                _compose_rules(state, spec, mode, ci, emit, minter)
 
     if focus is not None:
         return steps
@@ -281,7 +274,8 @@ def backward_successors(state: SymbolicState, spec: RuntimeSpec, mode: str,
                 split = _atom_splits(inst.items[idx].payload, demands,
                                      f.payload, th) if xor_splits else None
                 for sg in split if split is not None else \
-                        unifiers(inst.items[idx].payload, f.payload):
+                        unify_modulo(inst.items[idx].payload, f.payload, th,
+                                     leq=leq):
                     pred = _flip_fact(state, fi)
                     for d in demands:
                         pred = _add_fact(pred, IntruderFact(KNOWN, d))
@@ -390,11 +384,12 @@ def _parent_roles(spec: RuntimeSpec, mode: str, child_role: str,
     return in_item.parents
 
 
-def _compose_rules(state, spec, mode, ci, emit, unifiers, minter):
+def _compose_rules(state, spec, mode, ci, emit, minter):
     """Undo a handover to strand `ci`, whose bar sits right after its
     input interface: from a parent in the state that hands over once
     (its bar goes back) or to many (it stays), or from a new parent."""
     rules = _COMPOSE[mode]
+    th, leq = spec.theory, spec.signature.leq
     c = state.strands[ci]
     head = c.items[0]
     for pi, p in enumerate(state.strands):
@@ -405,11 +400,13 @@ def _compose_rules(state, spec, mode, ci, emit, unifiers, minter):
         if not modes:
             continue
         if p.bar == len(p.items):
-            for sg in unifiers(_tup(last.payload), _tup(head.payload)):
+            for sg in unify_modulo(_tup(last.payload), _tup(head.payload),
+                                   th, leq=leq):
                 emit(rules.compose, sg,
                      _with_bars(state, {pi: len(p.items) - 1, ci: 0}))
         if MODE_ONE_MANY in modes and p.bar == len(p.items) - 1:
-            for sg in unifiers(_tup(last.payload), _tup(head.payload)):
+            for sg in unify_modulo(_tup(last.payload), _tup(head.payload),
+                                   th, leq=leq):
                 emit(rules.one_many, sg, _with_bars(state, {ci: 0}))
     for a in _parent_roles(spec, mode, c.role, head):
         schema = spec.schemas.get(a)
@@ -417,7 +414,8 @@ def _compose_rules(state, spec, mode, ci, emit, unifiers, minter):
                 not _handover(spec, mode, a, schema.items[-1], c.role, head):
             continue
         inst = instantiate(schema, minter, bar=len(schema.items) - 1)
-        for sg in unifiers(_tup(inst.items[-1].payload), _tup(head.payload)):
+        for sg in unify_modulo(_tup(inst.items[-1].payload),
+                               _tup(head.payload), th, leq=leq):
             emit(f"{rules.new_parent}:{a}", sg,
                  _with_bars(_add_strand(state, inst), {ci: 0}))
 

@@ -484,13 +484,6 @@ class Subst(Mapping):
                 m[v] = t
         return Subst(m)
 
-    def restrict(self, vars_keep) -> "Subst":
-        keep = set(vars_keep)
-        return Subst({v: t for v, t in self._map.items() if v in keep}, _trusted=True)
-
-    def domain(self) -> set:
-        return set(self._map)
-
 
 IDENTITY = Subst()
 

@@ -26,7 +26,8 @@ from .terms import (
 
 
 class StepBudgetExceeded(Exception):
-    """Normalization or variant narrowing ran out of the step budget."""
+    """Normalization, variant narrowing or the unifier's branch search ran
+    out of its budget: an error, never a partial answer."""
 
 
 class IrregularRule(Exception):
@@ -74,9 +75,6 @@ class EquationalTheory:
     # each exclusive-or operator mapped to its unit, from the axioms
     nilpotent: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
-    # how often `match_ax` matched a sum in a way that may lose matchers
-    _match_gaps: list = field(default_factory=lambda: [0], init=False,
-                              repr=False, compare=False)
     # numbers the suffix each `unify._Renaming.back` gives the variables
     # its renaming did not make
     _back_ids: Iterator = field(default_factory=lambda: count(1),
@@ -243,7 +241,7 @@ def match_ax(pattern: Term, subject: Term, th: EquationalTheory,
     sides must be canonical, and the pattern's variables apart from the
     subject's.  Free operators match argument by argument, sums last, so
     that their variables are bound by then.  A sum is matched by
-    `_match_nilpotent`, which counts the matches that may be incomplete.
+    `_match_nilpotent`, which may lose matchers.
     With a subsort test `leq`, a variable binds only a subject whose sort
     is below its own.
     """
@@ -285,7 +283,7 @@ def _match_nilpotent(pattern: App, subject: Term, th: EquationalTheory,
     them.  An `absorber` of the leftovers takes the rest, and the others'
     variables are bound to themselves, fixed for later matches.  Without
     one, the leftovers are matched as under plain AC, where none cancel.
-    Either may lose matchers; `th._match_gaps` counts those that could."""
+    Either may lose matchers."""
     op, sort = pattern.op, pattern.sort
     fixed, free = [], []
     for a in pattern.args:
@@ -294,13 +292,11 @@ def _match_nilpotent(pattern: App, subject: Term, th: EquationalTheory,
                      for x in ac_atoms(t, op, th)])
     got = absorber(free, rest, op, sort, th, leq)
     if got is None:
-        th._match_gaps[0] += len(free) > 1
         yield from _match_ac(free, rest, op, sort, th, binding, leq)
         return
     v, image = got
     pinned = {u: u for a in free for u in variables(a)
               if u != v and u not in binding}
-    th._match_gaps[0] += bool(pinned)
     yield {**binding, v: image, **pinned}
 
 
@@ -346,21 +342,18 @@ def _match_ac(pats, subjs, op, sort, th, binding, leq) -> Iterator[dict]:
 
 
 class _Budget:
-    """A count of steps that allows exactly n: `spend` answers whether a
-    step is left and sets `blown` once none is."""
+    """A count of steps that allows exactly n of `what`: `spend` takes one
+    and raises StepBudgetExceeded once none is left."""
 
-    __slots__ = ("left", "blown")
+    __slots__ = ("left", "what")
 
-    def __init__(self, n: int):
-        self.left = n
-        self.blown = False
+    def __init__(self, n: int, what: str):
+        self.left, self.what = n, what
 
-    def spend(self) -> bool:
+    def spend(self) -> None:
         if self.left <= 0:
-            self.blown = True
-            return False
+            raise StepBudgetExceeded(f"{self.what} budget exhausted")
         self.left -= 1
-        return True
 
 
 def normalize(t: Term, th: EquationalTheory) -> Term:
@@ -382,7 +375,8 @@ def normalize(t: Term, th: EquationalTheory) -> Term:
     if got.__class__ is tuple and got[0] is th:
         return got[1]
     try:
-        out = _normalize(canon(t, th), th, _Budget(th.step_budget))
+        out = _normalize(canon(t, th), th,
+                         _Budget(th.step_budget, "rewrite step"))
     except RecursionError:
         # a rule whose right side nests its left side nests the term
         # deeper at every step, and the stack runs out before the budget
@@ -423,8 +417,7 @@ def _rewrite_root(t: App, th: EquationalTheory, budget: _Budget) -> Optional[Ter
         if not isinstance(lhs_r, App) or lhs_r.op != t.op:
             continue  # match_ax needs the same head
         for b in match_ax(lhs_r, t, th):
-            if not budget.spend():
-                raise StepBudgetExceeded("rewrite step budget exhausted")
+            budget.spend()
             return canon(Subst(b, _trusted=True)(rhs_r), th)
     return None
 

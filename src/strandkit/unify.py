@@ -5,16 +5,19 @@ the oriented rules until no new variant appears, once per theory and up
 to renaming (`side_variants`), then unify every pair of variants modulo
 exclusive-or, together with the images of the variables the sides share.
 Free operators decompose; exclusive-or subproblems go to a dedicated
-nilpotent-AC solver, `_solve_atoms`, the only axiom solver.  Every
-candidate is verified by substitute, normalize and compare before it is
-reported, so soundness never depends on the solver internals.  Matching
-modulo the theory (`match_modulo`) runs `theory.match_ax` on the variants
-of the pattern alone.
+nilpotent-AC solver, `_solve_atoms`, the only axiom solver.  Its branch
+search is bounded by BRANCH_BUDGET per problem and raises
+StepBudgetExceeded when that runs out, as the rewrite and variant budgets
+do, so an answer is never a set cut short.  Every candidate is verified
+by substitute, normalize and compare before it is reported, so soundness
+never depends on the solver internals.  Matching modulo the theory
+(`match_modulo`) runs `theory.match_ax` on the variants of the pattern
+alone, and unifies with the target's variables frozen where that finds
+no matcher of a sum.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional
 
 from .terms import (
@@ -33,7 +36,6 @@ from .terms import (
 )
 from .theory import (
     EquationalTheory,
-    StepBudgetExceeded,
     _Budget,
     absorber,
     ac_atoms,
@@ -45,29 +47,10 @@ from .theory import (
     sym_diff,
 )
 
+# branches one unification problem may take; under plain exclusive-or,
+# pairing the alien atoms of f(X0) * ... * f(X3) =? f(a0) * ... * f(a3)
+# runs past it
 BRANCH_BUDGET = 512
-
-
-@dataclass(frozen=True)
-class UnifierSet:
-    """A set of verified unifiers plus a completeness flag.
-
-    `complete` is False when the axiom solver's branch budget ran out, or
-    when `theory.match_ax` counted a gap, meaning further unifiers may
-    exist.
-    """
-
-    unifiers: tuple = ()
-    complete: bool = True
-
-    def __iter__(self):
-        return iter(self.unifiers)
-
-    def __len__(self):
-        return len(self.unifiers)
-
-    def __bool__(self):
-        return bool(self.unifiers)
 
 
 def _bind(v: Var, t: Term, subst: dict, th: EquationalTheory) -> Optional[dict]:
@@ -77,11 +60,7 @@ def _bind(v: Var, t: Term, subst: dict, th: EquationalTheory) -> Optional[dict]:
     if v in variables(t):
         return None
     new = {v: t}
-    out = {}
-    for w, u in subst.items():
-        out[w] = canon(_apply(new, u), th)
-    out[v] = t
-    return out
+    return {**{w: canon(_apply(new, u), th) for w, u in subst.items()}, v: t}
 
 
 def _solve(eqns: list, subst: dict, th: EquationalTheory, budget: _Budget,
@@ -91,8 +70,7 @@ def _solve(eqns: list, subst: dict, th: EquationalTheory, budget: _Budget,
     either side goes to the exclusive-or solver `_solve_atoms`."""
     if leq is None:
         leq = _default_leq
-    if not budget.spend():
-        return []
+    budget.spend()
     if not eqns:
         return [subst]
     (a, b), rest = eqns[0], eqns[1:]
@@ -158,8 +136,9 @@ def _solve_atoms(atoms: list, sort: str, op: str, th: EquationalTheory,
     if got is not None:
         return [[got]]
     # Otherwise alien atoms must cancel pairwise.
-    if len(atoms) % 2 == 1 or not budget.spend():
+    if len(atoms) % 2 == 1:
         return []
+    budget.spend()
     out = []
     a0, tail = atoms[0], atoms[1:]
     seen_partner = set()
@@ -180,7 +159,7 @@ def unify_canonical(t1: Term, t2: Term, th: EquationalTheory,
                     leq=None, budget: Optional[_Budget] = None) -> list:
     """Unifiers modulo structural axioms only (no rule narrowing)."""
     if budget is None:
-        budget = _Budget(BRANCH_BUDGET)
+        budget = _Budget(BRANCH_BUDGET, "unification branch")
     out = []
     for d in _solve([(t1, t2)], {}, th, budget, leq=leq):
         try:
@@ -217,13 +196,12 @@ def variants(t: Term, th: EquationalTheory) -> list:
     frontier = [(nf, IDENTITY)]
     out = [(nf, IDENTITY)]
     names = itertools.count(1)
-    budget = _Budget(th.step_budget)
+    budget = _Budget(th.step_budget, "variant step")
     while frontier:
         new_frontier = []
         for (u, sigma) in frontier:
             for (u2, sigma2) in _narrow_once(u, sigma, th, names):
-                if not budget.spend():
-                    raise StepBudgetExceeded("variant step budget exhausted")
+                budget.spend()
                 sigma2 = Subst({x: normalize(sigma2(x), th) for x in base_vars},
                                _trusted=True)
                 key = _pair_key(u2, sigma2, base_vars)
@@ -380,9 +358,9 @@ def side_variants(t: Term, th: EquationalTheory) -> list:
 
 
 def unify_modulo(t1: Term, t2: Term, th: EquationalTheory,
-                 leq=None) -> UnifierSet:
-    """A set of verified unifiers modulo th, complete unless the branch
-    budget of the axiom solver ran out.
+                 leq=None) -> tuple:
+    """The verified unifiers modulo th, as a tuple of Subst.  Raises
+    StepBudgetExceeded when the axiom solver's branch budget runs out.
 
     The two terms may share variables.  Unifiers are restricted to the
     variables of the problem, verified by substitute-normalize-compare,
@@ -396,7 +374,7 @@ def unify_modulo(t1: Term, t2: Term, th: EquationalTheory,
 
 
 def _memoized(raw, t1: Term, t2: Term, th: EquationalTheory,
-              leq) -> UnifierSet:
+              leq) -> tuple:
     """`raw(t1, t2, th, leq)` memoized in th's unifier memo up to a
     renaming of variables and fresh constants."""
     ren = _Renaming(th)
@@ -407,17 +385,16 @@ def _memoized(raw, t1: Term, t2: Term, th: EquationalTheory,
     if hit is None:
         hit = raw(c1, c2, th, leq)
         memo_put(cache, cache_key, hit, UNIFY_CACHE_CAP)
-    if not hit.unifiers:
+    if not hit:
         return hit
     # the substitutions bind only variables the renaming made
     back = ren.back
-    out = [Subst({back(v): back(u) for v, u in s.items()}, _trusted=True)
-           for s in hit.unifiers]
-    return UnifierSet(tuple(out), hit.complete)
+    return tuple(Subst({back(v): back(u) for v, u in s.items()},
+                       _trusted=True) for s in hit)
 
 
 def _unify_modulo_raw(t1: Term, t2: Term, th: EquationalTheory,
-                      leq) -> UnifierSet:
+                      leq) -> tuple:
     """Unify each variant of t1 with each variant of t2 modulo the axioms.
 
     The normal form of an E-unifier factors through one variant of each
@@ -435,7 +412,7 @@ def _unify_modulo_raw(t1: Term, t2: Term, th: EquationalTheory,
             return u
         return App("%tup", (u,) + tuple(sigma(x) for x in shared), "Msg")
 
-    budget = _Budget(BRANCH_BUDGET)
+    budget = _Budget(BRANCH_BUDGET, "unification branch")
     found = []
     goals2 = [(goal(u, sigma), sigma) for u, sigma in side2]
     for u1, sigma1 in side1:
@@ -449,7 +426,7 @@ def _unify_modulo_raw(t1: Term, t2: Term, th: EquationalTheory,
                     found.append(cand)
     minimized = sorted(_minimize(_distinct(found), problem_vars, th),
                        key=_subst_key)
-    return UnifierSet(tuple(minimized), not budget.blown)
+    return tuple(minimized)
 
 
 def _deflate(s: Subst, problem_vars: set) -> Subst:
@@ -508,7 +485,7 @@ def _apart(t: Term, th: EquationalTheory) -> tuple:
 
 
 def match_modulo(pattern: Term, target: Term, th: EquationalTheory,
-                 leq=None, binding: Optional[dict] = None) -> UnifierSet:
+                 leq=None, binding: Optional[dict] = None) -> tuple:
     """Matchers of pattern against target modulo th: substitutions of the
     pattern's variables under which it equals the target, whose variables
     stay fixed.  Given a `binding` of pattern variables to target terms,
@@ -523,26 +500,48 @@ def match_modulo(pattern: Term, target: Term, th: EquationalTheory,
     got = _memoized(_match_modulo_raw, pattern, target, th, leq)
     if not binding:
         return got
-    return UnifierSet(tuple(Subst({**s, **binding}, _trusted=True)
-                            for s in got), got.complete)
+    return tuple(Subst({**s, **binding}, _trusted=True) for s in got)
 
 
 def _match_modulo_raw(pattern: Term, target: Term, th: EquationalTheory,
-                      leq) -> UnifierSet:
+                      leq) -> tuple:
     """Match each variant of the pattern (`side_variants`), renamed apart
     from the target, against the target's normal form (`theory.match_ax`);
-    keep the matchers that normalize and compare equal.  Incomplete where
-    `match_ax` counted a gap."""
+    keep the matchers that normalize and compare equal.  Where `match_ax`
+    finds none for a variant with a sum, which it may lose, unify instead
+    (`_match_by_unifying`): an empty answer means there is no matcher."""
     pat, back = _apart(pattern, th)
     subject = normalize(target, th)
     fixed = back.keys() | variables(subject)  # others come from narrowing
-    gaps, out = th._match_gaps[0], []
+    out, sums = [], False
     for u, sigma in side_variants(pat, th):
+        sums = sums or _has_sum(u, th)
         for b in match_ax(canon(u, th), subject, th, leq=leq):
             cand = _deflate(Subst({x: normalize(_apply(b, sigma(x)), th)
                                    for x in back}, _trusted=True), fixed)
             if normalize(cand(pat), th) == subject:
                 out.append(Subst({back[x]: _apply(back, t)
                                   for x, t in cand.items()}, _trusted=True))
-    return UnifierSet(tuple(sorted(_distinct(out), key=_subst_key)),
-                      th._match_gaps[0] == gaps)
+    if not out and sums:
+        out = _match_by_unifying(pattern, subject, th, leq)
+    return tuple(sorted(_distinct(out), key=_subst_key))
+
+
+def _has_sum(t: Term, th: EquationalTheory) -> bool:
+    return isinstance(t, App) and not t.closed and (
+        t.op in th.nilpotent or any(_has_sum(a, th) for a in t.args))
+
+
+def _match_by_unifying(pattern: Term, subject: Term, th: EquationalTheory,
+                       leq) -> list:
+    """The unifiers of pattern and the normal form subject, whose variables
+    are frozen to constants of their sorts that no unifier binds, thawed."""
+    frozen = {v: App(f"%frozen:{v.name}", (), v.sort)
+              for v in variables(subject)}
+    thaw = {c: v for v, c in frozen.items()}
+    def thawed(t):
+        return thaw.get(t) or App(t.op, tuple(map(thawed, t.args)), t.sort) \
+            if isinstance(t, App) else t
+    return [Subst({x: normalize(thawed(t), th) for x, t in s.items()},
+                  _trusted=True)
+            for s in unify_modulo(pattern, _apply(frozen, subject), th, leq)]

@@ -216,6 +216,35 @@ attack leak {
     assert "error: rewrite step budget exhausted" in capsys.readouterr().err
 
 
+def test_analyze_branch_budget_is_an_error(tmp_path, capsys):
+    # four f-atoms against four: the pairing of alien atoms runs past the
+    # unifier's branch budget, which is an error, not a step set cut short
+    four = tmp_path / "four.strand"
+    four.write_text("""
+protocol Sum {
+  op zero : -> Msg ;
+  op * : Msg Msg -> Msg ;
+  axiom * assoc comm unit(zero) nilpotent ;
+  op f : Msg -> Msg ;
+  op a0 : -> Msg ;
+  op a1 : -> Msg ;
+  op a2 : -> Msg ;
+  op a3 : -> Msg ;
+  vars X0 X1 X2 X3 : Msg ;
+  strand sum {
+    -(X0) ; -(X1) ; -(X2) ; -(X3) ; +(f(X0) * f(X1) * f(X2) * f(X3)) ;
+  }
+}
+attack four {
+  knows f(a0) * f(a1) * f(a2) * f(a3) ;
+}
+""")
+    rc = main(["analyze", str(four), "--attack", "four", "--mode", "basic"])
+    assert rc == 1
+    assert "error: unification branch budget exhausted" in \
+        capsys.readouterr().err
+
+
 def test_analyze_unknown_attack_is_usage_error(tiny, capsys):
     rc = main(["analyze", tiny, "--attack", "nope", "--mode", "basic"])
     assert rc == 1

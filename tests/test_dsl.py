@@ -51,7 +51,6 @@ def test_parse_nsl_roles(nsl):
     assert len(init.items) == 4
     assert isinstance(init.items[0], SignedMessage)
     assert isinstance(init.items[3], ParamList)
-    assert init.form == "parent"
 
 
 def test_parse_term_shapes(nsl):

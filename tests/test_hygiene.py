@@ -44,8 +44,8 @@ def test_no_unused_imports(path):
     assert _unused_imports(path) == []
 
 
-# top-level functions that only tests call, each kept as a reference the
-# tests check the program against
+# top-level functions, and methods of top-level classes, that only tests
+# call, each kept as a reference the tests check the program against
 TEST_ONLY = {
     "is_initial": "the initial-state condition, checked against the "
                   "predecessors backward_successors builds",
@@ -57,15 +57,21 @@ TEST_ONLY = {
 
 
 def _unread_functions(paths) -> list:
-    """Top-level functions of the modules whose name none of them reads:
-    a name, an attribute or a name imported from a module counts as a
-    read."""
+    """Top-level functions of the modules, and methods and properties of
+    their top-level classes but for dunders, whose name none of them
+    reads: a name, an attribute or a name imported from a module counts
+    as a read.  A method is listed as `Class.method`."""
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
     defined, read = [], set()
     for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        defined += [(path.name, node.name) for node in tree.body
-                    if isinstance(node, (ast.FunctionDef,
-                                         ast.AsyncFunctionDef))]
+        for node in tree.body:
+            if isinstance(node, funcs):
+                defined.append((path.name, node.name, node.name))
+            elif isinstance(node, ast.ClassDef):
+                defined += [(path.name, f"{node.name}.{m.name}", m.name)
+                            for m in node.body if isinstance(m, funcs)
+                            and not m.name.startswith("__")]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 read.add(node.id)
@@ -73,16 +79,24 @@ def _unread_functions(paths) -> list:
                 read.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 read |= {alias.name for alias in node.names}
-    return sorted((mod, name) for mod, name in defined if name not in read)
+    return sorted((mod, name) for mod, name, short in defined
+                  if short not in read)
 
 
 def test_scan_finds_an_unread_function(tmp_path):
     a, b = tmp_path / "a.py", tmp_path / "b.py"
     a.write_text("def used():\n    pass\n\n\ndef unused():\n    pass\n\n\n"
                  "def called():\n    pass\n\n\nclass C:\n"
-                 "    def method(self):\n        pass\n")
-    b.write_text("import a\nfrom a import used\n\nx = a.called\n")
-    assert _unread_functions([a, b]) == [("a.py", "unused")]
+                 "    def method(self):\n        pass\n\n"
+                 "    def __len__(self):\n        return 0\n\n"
+                 "    @property\n    def size(self):\n        return 0\n\n"
+                 "    @property\n    def shape(self):\n        return 0\n\n"
+                 "    def read(self):\n"
+                 "        return self.size\n")
+    b.write_text("import a\nfrom a import used\n\nx = a.called\n"
+                 "y = a.C().read()\n")
+    assert _unread_functions([a, b]) == [
+        ("a.py", "C.method"), ("a.py", "C.shape"), ("a.py", "unused")]
 
 
 def test_only_reference_functions_go_unread():
@@ -218,8 +232,6 @@ THEORY_STATE = {
                      "compare by identity; as many as the widest renaming",
     "nilpotent": "each exclusive-or operator's unit, read from the axioms "
                  "once",
-    "_match_gaps": "how often `match_ax` may have lost matchers, which "
-                   "`match_modulo` reads to flag an incomplete answer",
     "_back_ids": "the suffixes `_Renaming.back` numbers variables with, "
                  "so that they stay apart within the theory",
 }

@@ -47,8 +47,6 @@ def test_schema_shape_rules():
         StrandSchema("x", (), (out, msg))  # output not last
     with pytest.raises(MalformedStrand):
         StrandSchema("x", (Var("r", MSG),), (msg,))  # fresh not Fresh-sorted
-    assert StrandSchema("x", (), (ins, msg, out)).form == "both"
-    assert StrandSchema("x", (), (ins, out)).form == "void"
 
 
 def test_bar_bounds():

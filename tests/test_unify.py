@@ -30,7 +30,6 @@ from strandkit.theory import (
     normalize,
 )
 from strandkit.unify import (
-    UnifierSet,
     match_modulo,
     memo_put,
     unify_canonical,
@@ -107,13 +106,12 @@ def test_variants_of_decrypt():
 
 def test_unify_modulo_decrypt_csu():
     got = unify_modulo(d(K, X), Y, ED_TH)
-    assert got.complete
     assert len(got) == 2
     for s in got:
         assert eq_modulo(s(d(K, X)), s(Y), ED_TH)
     shapes = set()
     for s in got:
-        if Y in s.domain():
+        if Y in s:
             assert s(Y) == d(K, X)
             shapes.add("y")
         else:
@@ -135,7 +133,7 @@ def test_xor_unify_single_variable():
     a, b = const("na"), const("nb")
     got = unify_modulo(xor(X, b), xor(a, b), XOR_TH)
     assert len(got) == 1
-    (s,) = got.unifiers
+    (s,) = got
     assert s(X) == a
 
 
@@ -143,7 +141,7 @@ def test_xor_unify_master_solution():
     a, b = const("na"), const("nb")
     got = unify_modulo(xor(X, Y), xor(a, b), XOR_TH)
     assert len(got) == 1
-    (s,) = got.unifiers
+    (s,) = got
     assert eq_modulo(s(xor(X, Y)), xor(a, b), XOR_TH)
 
 
@@ -151,9 +149,9 @@ def test_xor_unify_cancellation_to_zero():
     a = const("na")
     got = unify_modulo(xor(X, X), ZERO, XOR_TH)
     assert len(got) == 1
-    assert got.unifiers[0].is_identity()
+    assert got[0].is_identity()
     got2 = unify_modulo(xor(a, a), ZERO, XOR_TH)
-    assert got2 and got2.unifiers[0].is_identity()
+    assert got2 and got2[0].is_identity()
 
 
 def test_xor_unify_alien_pairing():
@@ -170,7 +168,6 @@ def test_xor_unify_pairs_alien_atoms():
     f = lambda t: App("f", (t,), "Msg")
     a, b = const("a"), const("b")
     got = unify_modulo(xor(f(X), f(Y)), xor(f(a), f(b)), XOR_TH)
-    assert got.complete
     assert len(got) == 2
     assert {frozenset(s.items()) for s in got} == {
         frozenset({X: a, Y: b}.items()), frozenset({X: b, Y: a}.items())}
@@ -184,10 +181,38 @@ def test_xor_unify_under_constructor():
     assert any(s(X) == a for s in got)
 
 
+def test_branch_budget_raises_on_four_alien_pairs():
+    """f(X0) * ... * f(X3) =? f(a0) * ... * f(a3) has 24 unifiers, one per
+    pairing of the atoms, but pairing them runs past BRANCH_BUDGET: the
+    solver raises rather than answer with fewer."""
+    f = lambda t: App("f", (t,), "Msg")
+    for n, want in ((2, 2), (3, 6)):
+        got = unify_modulo(xor(*(f(Var(f"X{i}")) for i in range(n))),
+                           xor(*(f(const(f"a{i}")) for i in range(n))),
+                           XOR_TH)
+        assert len(got) == want
+    with pytest.raises(StepBudgetExceeded,
+                       match="unification branch budget exhausted"):
+        unify_modulo(xor(*(f(Var(f"X{i}")) for i in range(4))),
+                     xor(*(f(const(f"a{i}")) for i in range(4))), XOR_TH)
+
+
+def test_variants_raise_when_the_branch_budget_runs_out(monkeypatch):
+    """Narrowing sk(A, X) with sk(A, pk(A, M)) -> M needs more than one
+    branch: with a budget of one, variants raises instead of keeping the
+    identity variant alone."""
+    (th, op), *_ = _spec_theories()
+    t = op("sk", Var("A", "Name"), X)
+    assert len(variants(t, th)) == 2
+    monkeypatch.setattr(unify, "BRANCH_BUDGET", 1)
+    with pytest.raises(StepBudgetExceeded,
+                       match="unification branch budget exhausted"):
+        variants(t, th)
+
+
 def test_unify_modulo_fails_cleanly():
     got = unify_modulo(const("a"), const("b"), ED_TH)
     assert not got
-    assert got.complete
 
 
 def test_match_modulo_one_sided():
@@ -195,10 +220,10 @@ def test_match_modulo_one_sided():
     target = App("pk", (Var("A", "Msg"), const("m")), "Msg")
     got = match_modulo(pat, target, ED_TH)
     assert got
-    s = got.unifiers[0]
+    s = got[0]
     assert s(pat) == target
     # target variables must not be instantiated
-    assert all(v in variables(pat) for v in s.domain())
+    assert s.keys() <= variables(pat)
 
 
 def test_match_modulo_respects_theory():
@@ -232,7 +257,7 @@ def test_a_sum_takes_the_sort_of_its_own_side():
     want = normalize(op("*", Var("A1", "Nonce"), nonce), spec.theory)
     for t1, t2 in ((nonce, total), (total, nonce)):
         got = unify_modulo(t1, t2, spec.theory, leq=leq)
-        assert got.complete and [dict(s) for s in got] == [{M: want}]
+        assert [dict(s) for s in got] == [{M: want}]
         assert all(leq(t.sort, v.sort) for s in got for v, t in s.items())
 
 
@@ -248,10 +273,21 @@ def _h(*args):
     (_h(_h(xor(X, Y)), X), _h(_h(const("c")), const("d"))),
 ])
 def test_match_modulo_reports_what_it_may_miss(pattern, target):
-    """Each of these has a matcher that `match_ax` does not find: the set
-    must then say it is incomplete."""
-    got = match_modulo(pattern, target, XOR_TH)
-    assert got or not got.complete
+    """Each of these has a matcher that `match_ax` does not find: with no
+    completeness flag left, `match_modulo` must report a matcher all the
+    same, since its empty answer says that there is none."""
+    assert any(eq_modulo(s(pattern), target, XOR_TH)
+               for s in match_modulo(pattern, target, XOR_TH))
+
+
+def test_match_modulo_unifies_with_the_target_frozen():
+    """Where `match_ax` finds no matcher of a sum, `match_modulo` unifies
+    with the target's variables frozen: they come back unbound in the
+    matchers, and a sum with no matcher still gets none."""
+    a = Var("A")
+    got = match_modulo(xor(X, Y, _h(X, Y)), _h(a, a), XOR_TH)
+    assert [dict(s) for s in got] == [{X: a, Y: a}]
+    assert match_modulo(xor(_h(X), _h(Y)), _h(const("a")), XOR_TH) == ()
 
 
 def test_unifier_sets_are_deterministic():
@@ -377,19 +413,21 @@ def _pair_narrowing_unifiers(t1, t2, th):
     the two components of each variant modulo the axioms."""
     problem_vars = variables(t1) | variables(t2)
     found = variants(App("%pair", (t1, t2), "Msg"), th)
-    budget = unify._Budget(unify.BRANCH_BUDGET)
+    budget = unify._Budget(unify.BRANCH_BUDGET, "unification branch")
     out, seen = [], set()
     for u, sigma in found:
         if not (isinstance(u, App) and u.op == "%pair"):
             continue
         for theta in unify.unify_canonical(*u.args, th, budget=budget):
-            cand = unify._deflate(sigma.compose(theta).restrict(problem_vars),
-                                  problem_vars)
+            composed = sigma.compose(theta)
+            cand = unify._deflate(Subst({v: t for v, t in composed.items()
+                                         if v in problem_vars},
+                                        _trusted=True), problem_vars)
             key = unify._subst_key(cand)
             if eq_modulo(cand(t1), cand(t2), th) and key not in seen:
                 seen.add(key)
                 out.append(cand)
-    return unify._minimize(out, problem_vars, th), not budget.blown
+    return unify._minimize(out, problem_vars, th)
 
 
 def _unify_problems():
@@ -426,20 +464,15 @@ UNIFY_PROBLEMS = _unify_problems()
 @pytest.mark.parametrize("name", sorted(UNIFY_PROBLEMS))
 def test_side_variants_match_pair_narrowing(name):
     """Unifying per-side variants gives the unifiers of pair narrowing, up
-    to instances.  Each side gets the whole depth bound, where the pair
-    shares it, so the per-side set is complete whenever the pair's is."""
+    to instances: each set covers every unifier of the other one."""
     th, t1, t2 = UNIFY_PROBLEMS[name]
     problem_vars = variables(t1) | variables(t2)
-    want, want_complete = _pair_narrowing_unifiers(t1, t2, th)
+    want = _pair_narrowing_unifiers(t1, t2, th)
     got = unify_modulo(t1, t2, th)
-    assert got.complete or not want_complete
-    # a complete set covers every unifier of the other one
-    for general, complete, specific in ((got, got.complete, want),
-                                        (want, want_complete, got)):
-        if complete:
-            for s in specific:
-                assert any(unify._is_instance_of(g, s, problem_vars, th)
-                           for g in general), (name, s)
+    for general, specific in ((got, want), (want, got)):
+        for s in specific:
+            assert any(unify._is_instance_of(g, s, problem_vars, th)
+                       for g in general), (name, s)
     for s in got:
         assert eq_modulo(s(t1), s(t2), th)
 
@@ -490,7 +523,7 @@ def test_renamed_match_problems_narrow_once(monkeypatch):
     first = match_modulo(d(K, X), d(A, e(A, B)), th)
     second = match_modulo(d(K2, X2), d(A2, e(A2, B2)), th)
     assert len(calls) == 1  # only the pattern is narrowed, and only once
-    assert first and first.complete == second.complete
+    assert first
     ren = Subst({A: A2, B: B2, K: K2, X: X2}, _trusted=True)
     assert [(ren(s(K)), ren(s(X))) for s in first] == \
         [(s(K2), s(X2)) for s in second]
@@ -539,7 +572,8 @@ def _frozen_instance_of(general, specific, problem_vars, th):
     frozen = Subst(freeze, _trusted=True)(spe)
     return any(eq_modulo(s(gen), frozen, th)
                for s in unify.unify_canonical(gen, frozen, th,
-                                              budget=unify._Budget(128)))
+                                              budget=unify._Budget(
+                                                  128, "test branch")))
 
 
 def _compare_counterexample():
@@ -648,8 +682,8 @@ def _memo_answers(caps: int = 0) -> list:
                 rules=rules, axioms=axioms))
             got = unify_modulo(t1, t2, th)
             vs = sorted(variables(t1) | variables(t2), key=term_key)
-            out.append((got.complete, sorted(
-                _shape(App("%tup", tuple(s(v) for v in vs))) for s in got)))
+            out.append(sorted(
+                _shape(App("%tup", tuple(s(v) for v in vs))) for s in got))
             if caps:
                 assert len(th._unify_cache) <= caps
                 assert len(th._variant_cache) <= caps
