@@ -153,7 +153,6 @@ class Document:
     protocols: list
     triples: list  # (parent role, child role, mode)
     attacks: dict  # name -> AttackDef
-    diagnostics: list = field(default_factory=list)
     # the protocols' merged signature and theory, built on first use and
     # shared by every spec made from the document, so that they share the
     # theory's memos and the forms it keeps on term nodes as well
@@ -226,7 +225,6 @@ def parse_document(src: str) -> Document:
     protocols: list = []
     triples: list = []
     attacks: dict = {}
-    diagnostics: list = []
     while not p.at("eof"):
         t = p.peek()
         if p.at("ident", "protocol"):
@@ -243,7 +241,7 @@ def parse_document(src: str) -> Document:
         else:
             raise SpecError(t.line, t.col, "E003",
                             f"expected protocol, composition or attack, got {t.text!r}")
-    return Document(protocols, triples, attacks, diagnostics)
+    return Document(protocols, triples, attacks)
 
 
 def _merged_env(protocols: list) -> _Env:

@@ -48,7 +48,6 @@ rewritten in an instance, the check is made on each variant instead.
 """
 from __future__ import annotations
 
-import itertools
 import time
 
 from .model import SignedMessage, map_item
@@ -64,7 +63,7 @@ from .terms import (
     term_key,
     variables,
 )
-from .theory import canon, normalize
+from .theory import _Budget, canon, normalize
 from .unify import (
     match_modulo,
     side_variants,
@@ -74,10 +73,8 @@ from .unify import (
 
 # path step into an atom of an exclusive-or sum
 ATOM = -1
-# refinement passes before the grammar is given up as empty
+# refinement rounds before the closure raises StepBudgetExceeded
 _MAX_ROUNDS = 20
-# derivation paths of one demand intersected during refinement
-_MAX_PATHS = 8
 # the generator of the atoms of sums: any message
 _ANY = Var("%S", "Msg")
 # the paths an exception covers: its own, that and every extension of it,
@@ -230,8 +227,7 @@ class Grammar:
         instances; `rest` then limits the pair to the continuations in
         (path, mode), or is None for all of them."""
         out = None
-        for _, excl, _ in itertools.islice(
-                self._derivations(t, base, assumed, deep), _MAX_PATHS):
+        for _, excl, _ in self._derivations(t, base, assumed, deep):
             if not excl:
                 return []
             out = excl if out is None else self._meet(out, excl)
@@ -453,7 +449,8 @@ class Grammar:
     def _close(self, sources) -> None:
         """Refine every production, and the atoms of sums, against every
         send until a round adds nothing, skipping each task that cannot
-        add anything (see the module docstring)."""
+        add anything (see the module docstring).  Raises
+        StepBudgetExceeded when _MAX_ROUNDS rounds all add something."""
         sends = [(msg, received) for msg, received in sources
                  if not self._sums_received(msg, received)]
         # (key of the target list, generator, position) per target
@@ -467,7 +464,10 @@ class Grammar:
         # per task, the lengths of the lists its last run read, or None
         # when that run added an exception
         seen: list = [None] * len(tasks)
-        for _ in range(_MAX_ROUNDS):
+        rounds = _Budget(_MAX_ROUNDS, "grammar closure round")
+        changed = True
+        while changed:
+            rounds.spend()
             changed = False
             for i, (key, gen, j, (msg, received)) in enumerate(tasks):
                 if seen[i] is not None and all(
@@ -487,13 +487,6 @@ class Grammar:
                 seen[i] = None if added else \
                     {r: len(self._list(r)) for r in self._reads}
                 changed |= added
-            if not changed:
-                break
-        else:
-            # no fixpoint in sight: give every production up
-            for op, prods in self._productions.items():
-                for j, exceptions in prods.items():
-                    self._except(exceptions, self._gens[op], (j,), OPEN)
         self._reads = None
 
     def _list(self, key) -> list:

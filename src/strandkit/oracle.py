@@ -10,27 +10,24 @@ strands and facts).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .dsl import parse_term
 from .model import (
-    KNOWN,
     TO_LEARN,
     IntruderFact,
     Minter,
-    ParamList,
     SignedMessage,
     StrandInstance,
     SymbolicState,
-    SyncPoint,
     item_terms,
     items_variables,
     map_item,
-    state_key,
 )
 from .search import _state_instance_of
+from .semantics import _COMPOSE, forward_step
 from .terms import Subst, variables
-from .theory import eq_modulo, normalize
+from .theory import normalize
 from .unify import match_modulo
 
 
@@ -146,13 +143,15 @@ def build_start_state(scenario: Scenario, spec, minter: Minter) -> SymbolicState
             raise ScenarioError(f"{role}: not ground, free variables {names}")
         strands.append(StrandInstance(role, items, 0,
                                       tuple(sub[v] for v in schema.fresh)))
-    facts = _seed_facts(scenario, tuple(strands), th)
+    facts = _seed_facts(scenario, tuple(strands))
     return SymbolicState(tuple(strands), facts, (), 0)
 
 
-def _seed_facts(scenario: Scenario, strands: tuple, th) -> tuple:
+def _seed_facts(scenario: Scenario, strands: tuple) -> tuple:
     """Every send_learn firing needs a pending fact for its payload; walk
     the firings with simulated bars to collect those payloads."""
+    compose = {r.compose for r in _COMPOSE.values()}
+    one_many = {r.one_many for r in _COMPOSE.values()}
     bars = [0] * len(strands)
     facts: dict = {}  # each fact once, in order
     for step in scenario.steps:
@@ -161,16 +160,22 @@ def _seed_facts(scenario: Scenario, strands: tuple, th) -> tuple:
                 raise ScenarioError(f"firing {f!r}: no strand {f.strand}")
             s = strands[f.strand]
             if f.rule in ("recv", "send_silent", "send_learn"):
+                if f.partner >= 0:
+                    raise ScenarioError(
+                        f"firing {f!r}: {f.rule} takes no child strand")
                 if bars[f.strand] >= len(s.items):
                     raise ScenarioError(f"firing {f!r}: strand already finished")
                 item = s.items[bars[f.strand]]
                 if f.rule == "send_learn" and isinstance(item, SignedMessage):
                     facts.setdefault(IntruderFact(TO_LEARN, item.payload))
                 bars[f.strand] += 1
-            elif f.rule in ("sync_compose", "compose_11"):
-                bars[f.strand] = len(s.items)
-                bars[f.partner] = 1
-            elif f.rule in ("sync_1many", "compose_1many"):
+            elif f.rule in compose or f.rule in one_many:
+                if not 0 <= f.partner < len(strands):
+                    raise ScenarioError(
+                        f"firing {f!r}: {f.rule} needs a child strand, "
+                        f"one of 0..{len(strands) - 1}")
+                if f.rule in compose:
+                    bars[f.strand] = len(s.items)
                 bars[f.partner] = 1
             else:
                 raise ScenarioError(f"unknown rule {f.rule!r}")
@@ -179,91 +184,40 @@ def _seed_facts(scenario: Scenario, strands: tuple, th) -> tuple:
 
 def replay_scenario(scenario: Scenario, spec, mode: str,
                     minter: Minter = None) -> ReplayResult:
-    """Fire the scenario's rules in order, validating each one."""
-    from .semantics import forward_step
+    """Fire the scenario's rules in order through `semantics.forward_step`.
 
-    th = spec.theory
+    A firing takes the first successor of its rule that moves its strand,
+    and for a composition rule its child; the replay stops, invalid, at
+    the first firing the forward rules of `mode` do not allow."""
     state = build_start_state(scenario, spec, minter or Minter())
     fired = 0
     for step in scenario.steps:
         for f in step.firings:
-            where = f"{step.label}/{f!r}"
-            try:
-                nxt, reason = _fire(state, f, th)
-            except ScenarioError as exc:
-                return ReplayResult(False, state, fired, str(exc), where)
+            moved = (f.strand,) if f.partner < 0 else (f.strand, f.partner)
+            nxt = next((r.successor
+                        for r in forward_step(state, spec, mode, rules=(f.rule,))
+                        if r.rule.split(":")[0] == f.rule and r.strands == moved),
+                       None)
             if nxt is None:
-                return ReplayResult(False, state, fired, reason, where)
-            # the firing must also be derivable by the forward rules
-            keys = {state_key(r.successor)
-                    for r in forward_step(state, spec, mode, rules=(f.rule,))
-                    if r.rule.split(":")[0] == f.rule}
-            if state_key(nxt) not in keys:
-                return ReplayResult(False, state, fired,
-                                    f"{f.rule} not derivable here", where)
+                return ReplayResult(False, state, fired, _refusal(state, f),
+                                    f"{step.label}/{f!r}")
             state = nxt
             fired += 1
     return ReplayResult(True, state, fired)
 
 
-def _fire(state: SymbolicState, f: Firing, th):
-    """Apply one named firing; (next state, "") or (None, reason)."""
+def _refusal(state: SymbolicState, f: Firing) -> str:
+    """Why the forward rules allow no firing f in state."""
     s = state.strands[f.strand]
-
-    def advance(si, bar=None):
-        strands = list(state.strands)
-        strands[si] = strands[si].with_bar(
-            strands[si].bar + 1 if bar is None else bar)
-        return replace(state, strands=tuple(strands))
-
-    if f.rule in ("recv", "send_silent", "send_learn"):
-        if s.bar >= len(s.items):
-            return None, "strand already finished"
-        item = s.items[s.bar]
-        if not isinstance(item, SignedMessage):
-            return None, "next item is a composition interface, not a message"
-        if f.rule == "recv":
-            if item.polarity != "-":
-                return None, "next item is not a receive"
-            if not any(x.kind == KNOWN and eq_modulo(x.payload, item.payload, th)
-                       for x in state.facts):
-                return None, f"nothing known matches {item.payload!r}"
-            return advance(f.strand), ""
-        if item.polarity != "+":
-            return None, "next item is not a send"
-        if f.rule == "send_silent":
-            return advance(f.strand), ""
-        for fi, x in enumerate(state.facts):
-            if x.kind == TO_LEARN and eq_modulo(x.payload, item.payload, th):
-                nxt = advance(f.strand)
-                facts = list(nxt.facts)
-                facts[fi] = IntruderFact(KNOWN, x.payload)
-                return replace(nxt, facts=tuple(facts)), ""
-        return None, f"no pending fact for {item.payload!r}"
-
-    if f.rule in ("sync_compose", "compose_11", "sync_1many", "compose_1many"):
-        p, c = s, state.strands[f.partner]
-        if p.bar != len(p.items) - 1 or not p.items:
-            return None, "parent is not at its output interface"
-        if c.bar != 0 or not c.items:
-            return None, "child has already started"
-        last, head = p.items[-1], c.items[0]
-        ok_shape = (isinstance(last, (SyncPoint, ParamList))
-                    and isinstance(head, (SyncPoint, ParamList))
-                    and last.direction == "out" and head.direction == "in"
-                    and len(last.payload) == len(head.payload))
-        if not ok_shape:
-            return None, "strands do not expose matching interfaces"
-        if not all(eq_modulo(a, b, th)
-                   for a, b in zip(last.payload, head.payload)):
-            return None, "handover parameters disagree"
-        nxt = advance(f.partner, bar=1)
-        if f.rule in ("sync_compose", "compose_11"):
-            nxt = replace(nxt, strands=tuple(
-                st.with_bar(len(st.items)) if i == f.strand else st
-                for i, st in enumerate(nxt.strands)))
-        return nxt, ""
-    return None, f"unknown rule {f.rule!r}"
+    if s.bar >= len(s.items):
+        return "strand already finished"
+    item = s.items[s.bar]
+    if isinstance(item, SignedMessage):
+        if f.rule == "recv" and item.polarity == "-":
+            return f"nothing known matches {item.payload!r}"
+        if f.rule == "send_learn" and item.polarity == "+":
+            return f"no pending fact for {item.payload!r}"
+    return f"{f.rule} not derivable here: next item is {item!r}"
 
 
 # ------------------------------------------------ pattern instantiation

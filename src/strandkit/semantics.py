@@ -424,8 +424,14 @@ def _compose_rules(state, spec, mode, ci, emit, minter):
 
 @dataclass(frozen=True)
 class ForwardStep:
+    """One forward rule firing.  `strands` are the indices, in the state
+    fired from, of the strands the rule moves: `(si,)` for a message rule,
+    `(parent, child)` for a composition rule and `()` for a strand
+    introduction, which moves none."""
+
     rule: str
     successor: SymbolicState
+    strands: tuple
 
 
 def forward_step(state: SymbolicState, spec: RuntimeSpec, mode: str,
@@ -456,10 +462,10 @@ def forward_step(state: SymbolicState, spec: RuntimeSpec, mode: str,
             if item.polarity == "-":
                 if wanted("recv") and any(
                         eq_modulo(f.payload, item.payload, th) for _, f in known):
-                    out.append(ForwardStep("recv", advance(si)))
+                    out.append(ForwardStep("recv", advance(si), (si,)))
             else:
                 if wanted("send_silent"):
-                    out.append(ForwardStep("send_silent", advance(si)))
+                    out.append(ForwardStep("send_silent", advance(si), (si,)))
                 if wanted("send_learn"):
                     for fi, f in to_learn:
                         if eq_modulo(f.payload, item.payload, th):
@@ -467,7 +473,8 @@ def forward_step(state: SymbolicState, spec: RuntimeSpec, mode: str,
                             facts = list(nxt.facts)
                             facts[fi] = IntruderFact(KNOWN, facts[fi].payload)
                             out.append(ForwardStep(
-                                "send_learn", replace(nxt, facts=tuple(facts))))
+                                "send_learn", replace(nxt, facts=tuple(facts)),
+                                (si,)))
     # strand introduction read forwards: a pending fact becomes known when
     # some schema's positive message produces it from already-known parts
     if wanted("intro_strand"):
@@ -510,7 +517,7 @@ def _forward_intro(state: SymbolicState, spec: RuntimeSpec) -> list:
                         facts[fi] = IntruderFact(KNOWN, f.payload)
                         out.append(ForwardStep(
                             f"intro_strand:{role}",
-                            replace(state, facts=tuple(facts))))
+                            replace(state, facts=tuple(facts)), ()))
                         produced = True
                         break
                 if produced:
@@ -550,19 +557,22 @@ def _forward_compose(state: SymbolicState, spec: RuntimeSpec, mode: str) -> list
             strands[ci] = strands[ci].with_bar(1)
             strands[pi] = strands[pi].with_bar(len(p.items))
             out.append(ForwardStep(rules.compose,
-                                   replace(state, strands=tuple(strands))))
+                                   replace(state, strands=tuple(strands)),
+                                   (pi, ci)))
             if MODE_ONE_MANY in modes:
                 strands = list(state.strands)
                 strands[ci] = strands[ci].with_bar(1)
                 out.append(ForwardStep(rules.one_many,
-                                       replace(state, strands=tuple(strands))))
+                                       replace(state, strands=tuple(strands)),
+                                       (pi, ci)))
             # the generated new-parent rule, run forwards: the parent is
             # consumed by the handover
             strands = [st for sj, st in enumerate(state.strands) if sj != pi]
             cj = ci if ci < pi else ci - 1
             strands[cj] = c.with_bar(1)
             out.append(ForwardStep(f"{rules.new_parent}:{p.role}",
-                                   replace(state, strands=tuple(strands))))
+                                   replace(state, strands=tuple(strands)),
+                                   (pi, ci)))
     return out
 
 

@@ -311,3 +311,19 @@ def test_oracle_scenario_fails_on_patched_protocol(capsys):
                "--scenario", str(SPECS / "scenarios" / "distance_hijacking.json")])
     assert rc == 1
     assert "invalid at" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("child", [[99], []])
+def test_oracle_composition_without_child_is_an_error(child, tmp_path, capsys):
+    scenario = json.loads(
+        (SPECS / "scenarios" / "distance_hijacking.json").read_text())
+    for step in scenario["steps"]:
+        step["fire"] = [f[:2] + child if f[0] == "sync_compose" else f
+                        for f in step["fire"]]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(scenario))
+    rc = main(["oracle", str(SPECS / "nsl_db.strand"), "--scenario", str(path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "child strand" in err
+    assert "Traceback" not in err

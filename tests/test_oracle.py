@@ -118,6 +118,35 @@ def test_misdeclared_send_rule_reported(nsl_db):
     assert not res.valid
 
 
+@pytest.mark.parametrize("firing", [["sync_compose", 1, 99],
+                                    ["sync_compose", 1],
+                                    ["sync_1many", 1, -1],
+                                    ["recv", 0, 1]])
+def test_composition_child_checked(nsl_db, firing):
+    spec = runtime_spec(nsl_db, SYNC)
+    scen = load_scenario(json.dumps({
+        "strands": [{"role": "int.name", "bind": {"A": "a"}},
+                    {"role": "int.name", "bind": {"A": "b"}}],
+        "steps": [{"label": "x", "fire": [firing]}],
+    }))
+    with pytest.raises(ScenarioError, match="child strand"):
+        build_start_state(scen, spec, Minter())
+
+
+def test_composition_rule_of_another_mode_refused(nsl_db):
+    # compose_11 is the abstract rules' handover; the sync rules have none
+    # by that name, so the forward rules refuse the firing
+    scenario = json.loads(SCENARIO.read_text())
+    for step in scenario["steps"]:
+        step["fire"] = [["compose_11", *f[1:]] if f[0] == "sync_compose"
+                        else f for f in step["fire"]]
+    spec = runtime_spec(nsl_db, SYNC)
+    res = replay_scenario(load_scenario(json.dumps(scenario)), spec, SYNC)
+    assert not res.valid
+    assert res.failed_at == "b/compose_11(1,2)"
+    assert "not derivable" in res.reason
+
+
 def test_pattern_diseqs_block_instantiation(nsl_db, hijack):
     from dataclasses import replace
 

@@ -45,6 +45,7 @@ from strandkit.semantics import (
     runtime_spec,
 )
 from strandkit.terms import App, FreshConst, Var
+from strandkit.theory import StepBudgetExceeded
 
 from test_cli import TINY
 
@@ -385,6 +386,14 @@ def test_grammar_closure_is_closed(monkeypatch, fname, attack, mode):
     assert grammar._memo is None and grammar._reads is None
     assert grammar.stats["tasks_skipped"] > 0
     assert grammar.stats["exceptions"] > 0
+
+
+def test_grammar_closure_round_budget_raises(monkeypatch):
+    # nsl's grammar needs more than one round to close; a budget of one
+    # round raises instead of handing back a list that never converged
+    monkeypatch.setattr("strandkit.grammar._MAX_ROUNDS", 1)
+    with pytest.raises(StepBudgetExceeded, match="grammar closure round"):
+        _build_grammar("nsl.strand", "secrecy", BASIC)
 
 
 @pytest.mark.parametrize("fname,attack,mode", SHIPPED_GRAMMAR_CASES)

@@ -36,9 +36,7 @@ SPECS = pathlib.Path(__file__).resolve().parents[1] / "specs"
 
 
 def load(name):
-    doc = parse_document((SPECS / name).read_text())
-    assert not doc.diagnostics, doc.diagnostics
-    return doc
+    return parse_document((SPECS / name).read_text())
 
 
 @pytest.fixture(scope="module")
