@@ -47,7 +47,7 @@ from .terms import (
     variables,
 )
 from .theory import AxiomDecl, EquationalTheory, IrregularRule, normalize
-from .unify import unify_modulo
+from .unify import Memo, unify_modulo
 
 PARAM = "Param"
 ROLE = "Role"
@@ -155,7 +155,7 @@ class Document:
     attacks: dict  # name -> AttackDef
     # the protocols' merged signature and theory, built on first use and
     # shared by every spec made from the document, so that they share the
-    # theory's memos and the forms it keeps on term nodes as well
+    # theory's canonical leaves and the forms kept on term nodes as well
     _signature: Optional[Signature] = field(default=None, compare=False,
                                             repr=False)
     _theory: Optional[EquationalTheory] = field(default=None, compare=False,
@@ -739,6 +739,7 @@ def validate_composition(doc: Document) -> list:
             if role in schemas:
                 diag("E022", f"role {role} defined in two protocols")
             schemas[role] = sch
+    memo = Memo()
     for (parent, child, mode) in doc.triples:
         if parent not in schemas:
             diag("E023", f"unknown parent role {parent}")
@@ -764,7 +765,7 @@ def validate_composition(doc: Document) -> list:
         out_t = App("%tup", tuple(out_item.payload), MSG)
         in_t = App("%tup", tuple(in_item.payload), MSG)
         in_t, _ = rename_all(in_t, "c")
-        if not unify_modulo(out_t, in_t, th, leq=sig.leq):
+        if not unify_modulo(out_t, in_t, th, sig.leq, memo):
             diag("E026", f"{parent} -> {child}: no parameter matcher exists")
     for side, idx in (("parent", 0), ("child", 1)):
         modes: dict = {}

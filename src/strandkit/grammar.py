@@ -65,6 +65,7 @@ from .terms import (
 )
 from .theory import _Budget, canon, normalize
 from .unify import (
+    Memo,
     match_modulo,
     side_variants,
     unify_canonical,
@@ -84,13 +85,15 @@ EXACT, OPEN, BELOW = 0, 1, 2
 
 class Grammar:
     """Closed languages of unknown terms for a backward search in one
-    runtime spec and rule mode from a state holding `extra_strands`."""
+    runtime spec and rule mode from a state holding `extra_strands`, its
+    unifications memoized in the search's `memo` or in one of its own."""
 
-    def __init__(self, spec, mode: str, extra_strands=()):
+    def __init__(self, spec, mode: str, extra_strands=(), memo=None):
         t0 = time.perf_counter()
         th = spec.theory
         self.theory = th
         self.leq = spec.signature.leq
+        self.memo = Memo() if memo is None else memo
         # per rule root, the argument positions holding an application
         self._blockers: dict = {}
         for lhs, _ in th.rules:
@@ -165,7 +168,7 @@ class Grammar:
                 or any(self._open_sum(t) for t in parts):
             return False  # nothing to split on, or too costly to split
         k, r = len(known), len(received)
-        for v, _ in side_variants(_tup(parts), self.theory):
+        for v, _ in side_variants(_tup(parts), self.theory, self.memo):
             if not (isinstance(v, App) and v.op == "%tup"):
                 return False
             assumed: set = set()
@@ -248,7 +251,7 @@ class Grammar:
                 dom = sorted(set(a) | set(b), key=term_key)
                 us = unify_modulo(_tup([a(v) for v in dom]),
                                   _tup([b(v) for v in dom]),
-                                  self.theory, leq=self.leq)
+                                  self.theory, self.leq, self.memo)
                 out += [(Subst({v: sg(a(v)) for v in dom}, _trusted=True),
                          rest) for sg in us]
         return out
@@ -358,7 +361,7 @@ class Grammar:
             if key in self._memo:
                 return self._memo[key]
         th = self.theory
-        got = [sg for sg in unify_modulo(t, e, th, leq=self.leq)
+        got = [sg for sg in unify_modulo(t, e, th, self.leq, self.memo)
                if not assumed or all(normalize(sg(a), th) == canon(sg(a), th)
                                      for a in assumed)]
         # a unifier with variables of its own is not shared: two callers
@@ -374,7 +377,7 @@ class Grammar:
         key = (pattern, t)
         if key not in self._memo:
             self._memo[key] = bool(match_modulo(pattern, t, self.theory,
-                                                leq=self.leq))
+                                                self.leq, memo=self.memo))
         return self._memo[key]
 
     # --------------------------------------------------------------- sources
@@ -438,7 +441,7 @@ class Grammar:
             given = _apply({v: Var(f"{v.name}%P", v.sort)
                             for v in variables(given)}, given)
             for sg in unify_modulo(given, _tup(head.payload), self.theory,
-                                   leq=self.leq):
+                                   self.leq, self.memo):
                 out.append(tuple(map_item(it, lambda t, sg=sg:
                                           normalize(sg(t), self.theory))
                                  for it in schema.items))
@@ -562,7 +565,7 @@ class Grammar:
         th = self.theory
         out = []
         msg_vars = variables(msg)
-        for mv, theta in side_variants(msg, th):
+        for mv, theta in side_variants(msg, th, self.memo):
             for tau in unify_canonical(mv, target, th, leq=self.leq):
                 ranges = [tau(theta(x)) for x in msg_vars] + [tau(target)]
                 # a reducible binding has no irreducible instance at all

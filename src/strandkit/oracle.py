@@ -28,7 +28,7 @@ from .search import _state_instance_of
 from .semantics import _COMPOSE, forward_step
 from .terms import Subst, variables
 from .theory import normalize
-from .unify import match_modulo
+from .unify import Memo, match_modulo
 
 
 class ScenarioError(Exception):
@@ -232,7 +232,8 @@ def instantiates_pattern(state: SymbolicState, pattern: SymbolicState,
     fresh values and disequalities must hold.  Extra strands and facts in
     the state are allowed (see `search._state_instance_of`).
     """
-    th, leq = spec.theory, spec.signature.leq
+    th, leq, memo = spec.theory, spec.signature.leq, Memo()
     return _state_instance_of(state, pattern, th,
-                              lambda p, t, b: match_modulo(p, t, th, leq, b),
+                              lambda p, t, b: match_modulo(p, t, th, leq,
+                                                           b, memo),
                               extra_strands=True, extra_facts=True)

@@ -38,7 +38,7 @@ from .semantics import (
 from .terms import FRESH, App, FreshConst, Var, _apply, fresh_constants, \
     is_ground, term_key, term_size, variables
 from .theory import canon, canonical_leaf, match_ax, normalize
-from .unify import match_modulo, memo_entries
+from .unify import Memo, match_modulo
 
 
 def _peak_rss_mb() -> float:
@@ -303,15 +303,15 @@ def reachability_search(start: SymbolicState, spec: RuntimeSpec, mode: str,
              "subsumed": 0, "grammar_pruned": 0, "order_pruned": 0,
              "size_pruned": 0, "max_depth_reached": 0}
     root = _Node(start, "attack-pattern", None)
-    th, leq = spec.theory, spec.signature.leq
+    th, leq, memo = spec.theory, spec.signature.leq, Memo()
     if _goal(start):
-        return _finish(ATTACK_FOUND, root, stats, t0, th, complete=True)
+        return _finish(ATTACK_FOUND, root, stats, t0, memo, complete=True)
     from .grammar import Grammar  # only searches need it
-    grammar = Grammar(spec, mode, start.strands)
+    grammar = Grammar(spec, mode, start.strands, memo)
     stats["grammar"] = grammar.stats
     if unlearnable(start, grammar):
         stats["grammar_pruned"] += 1
-        return _finish(SECURE_FINITE, None, stats, t0, th, complete=True)
+        return _finish(SECURE_FINITE, None, stats, t0, memo, complete=True)
     order = itertools.count()
 
     def push(node) -> None:
@@ -332,7 +332,7 @@ def reachability_search(start: SymbolicState, spec: RuntimeSpec, mode: str,
     while frontier:
         if budget.wall_seconds is not None and \
                 time.monotonic() - t0 > budget.wall_seconds:
-            return _finish(INCONCLUSIVE, None, stats, t0, th, complete=False,
+            return _finish(INCONCLUSIVE, None, stats, t0, memo, complete=False,
                            reason="wall clock budget exhausted")
         node = heapq.heappop(frontier)[-1]
         state = node.state
@@ -341,7 +341,7 @@ def reachability_search(start: SymbolicState, spec: RuntimeSpec, mode: str,
         if budget.max_rss_mb is not None and \
                 stats["states_explored"] % 64 == 0 and \
                 _peak_rss_mb() > budget.max_rss_mb:
-            return _finish(INCONCLUSIVE, None, stats, t0, th, complete=False,
+            return _finish(INCONCLUSIVE, None, stats, t0, memo, complete=False,
                            reason="memory budget exhausted")
         if state.depth >= budget.max_depth:
             truncated = True
@@ -349,7 +349,7 @@ def reachability_search(start: SymbolicState, spec: RuntimeSpec, mode: str,
         stats["states_explored"] += 1
         steps = backward_successors(state, spec, mode, minter, stats=stats,
                                     max_fact_size=fact_cap,
-                                    in_order=True,
+                                    in_order=True, memo=memo,
                                     xor_splits=grammar.sums_closed,
                                     focus=node.focus, uses=node.uses)
         for step in steps:
@@ -363,7 +363,7 @@ def reachability_search(start: SymbolicState, spec: RuntimeSpec, mode: str,
             best[child.key] = pred.depth
             if _goal(pred):
                 complete = not truncated and stats["size_pruned"] == 0
-                return _finish(ATTACK_FOUND, child, stats, t0, th,
+                return _finish(ATTACK_FOUND, child, stats, t0, memo,
                                complete=complete)
             if unlearnable(pred, grammar):
                 stats["grammar_pruned"] += 1
@@ -383,17 +383,17 @@ def reachability_search(start: SymbolicState, spec: RuntimeSpec, mode: str,
             stats["max_depth_reached"] = max(stats["max_depth_reached"],
                                              pred.depth)
             if stats["states_enqueued"] >= budget.max_states:
-                return _finish(INCONCLUSIVE, None, stats, t0, th,
+                return _finish(INCONCLUSIVE, None, stats, t0, memo,
                                complete=False,
                                reason="state budget exhausted")
             push(child)
     if truncated:
-        return _finish(INCONCLUSIVE, None, stats, t0, th, complete=False,
+        return _finish(INCONCLUSIVE, None, stats, t0, memo, complete=False,
                        reason="depth bound reached")
     if stats["size_pruned"] > 0:
-        return _finish(INCONCLUSIVE, None, stats, t0, th, complete=False,
+        return _finish(INCONCLUSIVE, None, stats, t0, memo, complete=False,
                        reason="demand size cap pruned states")
-    return _finish(SECURE_FINITE, None, stats, t0, th, complete=True)
+    return _finish(SECURE_FINITE, None, stats, t0, memo, complete=True)
 
 
 def steps_left(state: SymbolicState, grammar) -> int:
@@ -452,11 +452,12 @@ def unlearnable(state: SymbolicState, grammar) -> bool:
         [f.payload for f in state.facts if f.kind == TO_LEARN])
 
 
-def _finish(verdict, node, stats, t0, theory, complete,
+def _finish(verdict, node, stats, t0, memo, complete,
             reason=None) -> SearchResult:
     stats = dict(stats)
     stats["verdict"] = verdict
-    stats["memo_entries"] = memo_entries(theory)
+    stats["memo_entries"] = {"unify": len(memo.unify),
+                             "variants": len(memo.variants)}
     stats["complete"] = complete
     if reason:
         stats["reason"] = reason
@@ -484,10 +485,10 @@ def trace_replay(result: SearchResult, spec: RuntimeSpec, mode: str) -> bool:
     """
     if not result.found or not result.trace:
         return False
-    th, leq = spec.theory, spec.signature.leq
+    th, leq, memo = spec.theory, spec.signature.leq, Memo()
 
     def modulo(p, t, b):
-        return match_modulo(p, t, th, leq, b)
+        return match_modulo(p, t, th, leq, b, memo)
 
     def arrangement(state):
         return ([_layout(s) for s in state.strands],
@@ -495,7 +496,7 @@ def trace_replay(result: SearchResult, spec: RuntimeSpec, mode: str) -> bool:
 
     minter = Minter([t for step in result.trace for t in _terms(step.state)])
     for prev, nxt in zip(result.trace, result.trace[1:]):
-        steps = backward_successors(prev.state, spec, mode, minter)
+        steps = backward_successors(prev.state, spec, mode, minter, memo=memo)
         want = state_key(nxt.state)
         # item for item and fact for fact; only the fresh values a step
         # mints anew may be renamed
@@ -539,14 +540,14 @@ def _levels(start: SymbolicState, spec: RuntimeSpec, mode: str, depth: int,
     """The levels of the backward search tree to `depth`, breadth first:
     yields each level's set of state keys and its states not met before.
     `view` maps each state to the representation it is keyed by."""
-    minter = Minter(_terms(start))
+    minter, memo = Minter(_terms(start)), Memo()
     seen = {state_key(start if view is None else view(start))}
     frontier = [start]
     yield set(seen), frontier
     for _ in range(depth):
         keys, nxt = set(), []
         for st in frontier:
-            for step in backward_successors(st, spec, mode, minter):
+            for step in backward_successors(st, spec, mode, minter, memo=memo):
                 k = step.key if view is None else \
                     state_key(view(step.predecessor))
                 keys.add(k)
@@ -589,7 +590,7 @@ def _side_by_side(here, there) -> tuple:
     its type and message.  When `here()` raises, an interrupt included,
     the child is killed and reaped first.  Where the platform cannot fork,
     both run here, one after the other.  The package starts no threads,
-    so the child is a safe copy of this process, warm memos included.
+    so the child is a safe copy of this process.
     """
     import pickle  # only a comparison pays for the import
     import signal

@@ -42,7 +42,7 @@ from .terms import App, FRESH, IDENTITY, MSG, Signature, Subst, Term, \
     _apply, is_ground, term_size
 from .terms import Var as VarType
 from .theory import EquationalTheory, eq_modulo, normalize
-from .unify import match_modulo, unify_modulo
+from .unify import Memo, match_modulo, unify_modulo
 
 BASIC = "basic"
 ABSTRACT = "abstract"
@@ -114,7 +114,8 @@ def backward_successors(state: SymbolicState, spec: RuntimeSpec, mode: str,
                         in_order: bool = False,
                         xor_splits: bool = False,
                         focus: Optional[int] = None,
-                        uses: Optional[frozenset] = None) -> list:
+                        uses: Optional[frozenset] = None,
+                        memo: Optional[Memo] = None) -> list:
     """All one-step predecessors of a symbolic state, as BackwardSteps.
 
     The result order is deterministic for a given state: strand order,
@@ -156,6 +157,8 @@ def backward_successors(state: SymbolicState, spec: RuntimeSpec, mode: str,
     silent send before such a step.  An introduction commutes with every
     step that uses none of its demands, so it can always be undone right
     before the first step that does.
+
+    `memo` holds the unification memos of the search that asks.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode}")
@@ -226,7 +229,7 @@ def backward_successors(state: SymbolicState, spec: RuntimeSpec, mode: str,
                  _add_fact(_retract(state, si), IntruderFact(KNOWN, m)),
                  added=(m,))
             for fi, f in active:
-                for sg in unify_modulo(m, f.payload, th, leq=leq):
+                for sg in unify_modulo(m, f.payload, th, leq, memo):
                     if not sg.is_identity():
                         emit("recv", sg, _retract(state, si), fi)
             continue
@@ -238,7 +241,7 @@ def backward_successors(state: SymbolicState, spec: RuntimeSpec, mode: str,
         if emptied:
             continue
         for fi, f in active:
-            for sg in unify_modulo(m, f.payload, th, leq=leq):
+            for sg in unify_modulo(m, f.payload, th, leq, memo):
                 emit("send_learn", sg, _flip_fact(_retract(state, si), fi),
                      fi)
 
@@ -250,7 +253,7 @@ def backward_successors(state: SymbolicState, spec: RuntimeSpec, mode: str,
     if mode in _COMPOSE and not (in_order and uses is not None):
         for ci, c in enumerate(state.strands):
             if c.bar == 1 and focus in (None, ci):
-                _compose_rules(state, spec, mode, ci, emit, minter)
+                _compose_rules(state, spec, mode, ci, emit, minter, memo)
 
     if focus is not None:
         return steps
@@ -275,7 +278,7 @@ def backward_successors(state: SymbolicState, spec: RuntimeSpec, mode: str,
                                      f.payload, th) if xor_splits else None
                 for sg in split if split is not None else \
                         unify_modulo(inst.items[idx].payload, f.payload, th,
-                                     leq=leq):
+                                     leq, memo):
                     pred = _flip_fact(state, fi)
                     for d in demands:
                         pred = _add_fact(pred, IntruderFact(KNOWN, d))
@@ -384,7 +387,7 @@ def _parent_roles(spec: RuntimeSpec, mode: str, child_role: str,
     return in_item.parents
 
 
-def _compose_rules(state, spec, mode, ci, emit, minter):
+def _compose_rules(state, spec, mode, ci, emit, minter, memo):
     """Undo a handover to strand `ci`, whose bar sits right after its
     input interface: from a parent in the state that hands over once
     (its bar goes back) or to many (it stays), or from a new parent."""
@@ -401,12 +404,12 @@ def _compose_rules(state, spec, mode, ci, emit, minter):
             continue
         if p.bar == len(p.items):
             for sg in unify_modulo(_tup(last.payload), _tup(head.payload),
-                                   th, leq=leq):
+                                   th, leq, memo):
                 emit(rules.compose, sg,
                      _with_bars(state, {pi: len(p.items) - 1, ci: 0}))
         if MODE_ONE_MANY in modes and p.bar == len(p.items) - 1:
             for sg in unify_modulo(_tup(last.payload), _tup(head.payload),
-                                   th, leq=leq):
+                                   th, leq, memo):
                 emit(rules.one_many, sg, _with_bars(state, {ci: 0}))
     for a in _parent_roles(spec, mode, c.role, head):
         schema = spec.schemas.get(a)
@@ -415,7 +418,7 @@ def _compose_rules(state, spec, mode, ci, emit, minter):
             continue
         inst = instantiate(schema, minter, bar=len(schema.items) - 1)
         for sg in unify_modulo(_tup(inst.items[-1].payload),
-                               _tup(head.payload), th, leq=leq):
+                               _tup(head.payload), th, leq, memo):
             emit(f"{rules.new_parent}:{a}", sg,
                  _with_bars(_add_strand(state, inst), {ci: 0}))
 

@@ -62,13 +62,9 @@ class EquationalTheory:
     rules: tuple = ()
     axioms: tuple = ()  # tuple of (opname, AxiomDecl)
     step_budget: int = 10000
-    # Memos of `unify.unify_modulo` and `unify.side_variants`, keyed by
-    # hash-consed term nodes.  They are not part of the theory's value;
-    # canonical and normal forms live on the nodes themselves.
-    _unify_cache: dict = field(default_factory=dict, init=False, repr=False,
-                               compare=False)
-    _variant_cache: dict = field(default_factory=dict, init=False,
-                                 repr=False, compare=False)
+    # State that is not part of the theory's value.  Canonical and normal
+    # forms live on the term nodes, and the memos of unification on each
+    # search (`unify.Memo`).
     # (prefix, index, sort) -> the leaf that `canonical_leaf` shares
     _canon_leaves: dict = field(default_factory=dict, init=False,
                                 repr=False, compare=False)

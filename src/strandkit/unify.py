@@ -1,9 +1,10 @@
 """Unification: syntactic, modulo exclusive-or, and modulo rules.
 
 The combined procedure follows the variant route: narrow each side with
-the oriented rules until no new variant appears, once per theory and up
-to renaming (`side_variants`), then unify every pair of variants modulo
-exclusive-or, together with the images of the variables the sides share.
+the oriented rules until no new variant appears, once per search and up
+to renaming (`side_variants`, memoized in the search's `Memo`), then
+unify every pair of variants modulo exclusive-or, together with the
+images of the variables the sides share.
 Free operators decompose; exclusive-or subproblems go to a dedicated
 nilpotent-AC solver, `_solve_atoms`, the only axiom solver.  Its branch
 search is bounded by BRANCH_BUDGET per problem and raises
@@ -186,7 +187,8 @@ def variants(t: Term, th: EquationalTheory) -> list:
     and narrowing ends by itself.  Every narrowing step is charged to
     th.step_budget; a theory without finite variants raises
     StepBudgetExceeded.  This narrows afresh on every call;
-    `side_variants` is the memoized entry point that unification uses.
+    `side_variants`, memoized in a search's `Memo`, is the entry point
+    that unification uses.
     The narrowing variables are numbered per call, so the variants of a
     term do not depend on what ran before.
     """
@@ -257,27 +259,16 @@ def _narrow_once(u: Term, sigma: Subst, th: EquationalTheory, names):
     return results
 
 
-# entry caps of each theory's unifier and variant memos
-UNIFY_CACHE_CAP = 100_000
-VARIANT_CACHE_CAP = 20_000
+class Memo:
+    """The unifier and variant memos of one search, keyed by renamed
+    hash-consed nodes (`_Renaming`).  A search makes one and drops it when
+    done, so it holds only what that search asked and needs no cap."""
 
+    __slots__ = ("unify", "variants")
 
-def memo_put(cache: dict, key, value, cap: int) -> None:
-    """Store value under key in a memo of at most cap entries.  A full memo
-    first drops its oldest entries, in insertion order: one, plus one per
-    64 of its cap, since finding the oldest entry of a dict costs a scan
-    over the slots of those dropped before it.  A hit costs nothing, as no
-    order is kept but the dict's own."""
-    if len(cache) >= cap and key not in cache:
-        for old in list(itertools.islice(cache, 1 + cap // 64)):
-            del cache[old]
-    cache[key] = value
-
-
-def memo_entries(th: EquationalTheory) -> dict:
-    """Current entry counts of th's unifier and variant memos."""
-    return {"unify": len(th._unify_cache),
-            "variants": len(th._variant_cache)}
+    def __init__(self):
+        self.unify: dict = {}
+        self.variants: dict = {}
 
 
 class _Renaming:
@@ -285,9 +276,9 @@ class _Renaming:
     ... in order of first occurrence, so that renamed copies of a term
     become equal; `back` undoes it.  Closed subterms are left as they
     are.  The new leaves come from the theory's table of canonical leaves
-    (`theory.canonical_leaf`), so every renaming in one theory hands out
-    the same objects: renamed copies are one hash-consed node, and the
-    memos keyed by them compare leaves by identity."""
+    (`theory.canonical_leaf`), so renamed copies of terms of one theory
+    are one hash-consed node over the same leaf objects, and a `Memo`
+    keyed by them compares leaves by identity."""
 
     __slots__ = ("th", "vars", "fresh", "_inv")
 
@@ -318,7 +309,7 @@ class _Renaming:
     def back(self, t: Term) -> Term:
         """The original of a renamed term.  Variables the renaming did not
         make get a suffix of their own, apart from every other renaming's
-        `back` in the same theory."""
+        `back` in the same theory, whichever memo the answer came from."""
         if self._inv is None:
             self._inv = ({cv: ov for ov, cv in self.vars.items()},
                          {cf: of for of, cf in self.fresh.items()},
@@ -337,20 +328,21 @@ class _Renaming:
         return inv_fresh.get(t, t)
 
 
-def side_variants(t: Term, th: EquationalTheory) -> list:
-    """`variants(t, th)`, memoized per theory up to renaming.
+def side_variants(t: Term, th: EquationalTheory,
+                  memo: Optional[Memo] = None) -> list:
+    """`variants(t, th)`, memoized up to renaming in `memo` or a fresh one.
 
     The narrowing variables come back renamed apart from those of every
     other call in the same theory, so the variants of two sides never
     share one.
     """
+    if memo is None:
+        memo = Memo()
     ren = _Renaming(th)
     c = ren(t)
-    cache = th._variant_cache
-    hit = cache.get(c)
+    hit = memo.variants.get(c)
     if hit is None:
-        hit = tuple(variants(c, th))
-        memo_put(cache, c, hit, VARIANT_CACHE_CAP)
+        hit = memo.variants[c] = tuple(variants(c, th))
     back = ren.back
     return [(back(u), Subst({back(v): back(b) for v, b in sigma.items()},
                             _trusted=True))
@@ -358,7 +350,7 @@ def side_variants(t: Term, th: EquationalTheory) -> list:
 
 
 def unify_modulo(t1: Term, t2: Term, th: EquationalTheory,
-                 leq=None) -> tuple:
+                 leq=None, memo: Optional[Memo] = None) -> tuple:
     """The verified unifiers modulo th, as a tuple of Subst.  Raises
     StepBudgetExceeded when the axiom solver's branch budget runs out.
 
@@ -366,25 +358,26 @@ def unify_modulo(t1: Term, t2: Term, th: EquationalTheory,
     variables of the problem, verified by substitute-normalize-compare,
     and minimized by discarding instances of more general unifiers.
 
-    Results are memoized per theory up to a renaming of variables and
+    Results are memoized in `memo` up to a renaming of variables and
     fresh constants, since backward search poses the same problems over
-    and over with freshly renamed strand instances.
+    and over with freshly renamed strand instances; without a memo the
+    call uses a fresh one of its own.
     """
-    return _memoized(_unify_modulo_raw, t1, t2, th, leq)
+    return _memoized(_unify_modulo_raw, t1, t2, th, leq, memo)
 
 
-def _memoized(raw, t1: Term, t2: Term, th: EquationalTheory,
-              leq) -> tuple:
-    """`raw(t1, t2, th, leq)` memoized in th's unifier memo up to a
-    renaming of variables and fresh constants."""
+def _memoized(raw, t1: Term, t2: Term, th: EquationalTheory, leq,
+              memo: Optional[Memo]) -> tuple:
+    """`raw(t1, t2, th, leq, memo)` memoized in `memo`, or a fresh memo, up
+    to a renaming of variables and fresh constants."""
+    if memo is None:
+        memo = Memo()
     ren = _Renaming(th)
     c1, c2 = ren(t1), ren(t2)
-    cache = th._unify_cache
-    cache_key = (raw, c1, c2, getattr(leq, "__self__", leq))
-    hit = cache.get(cache_key)
+    key = (raw, c1, c2, getattr(leq, "__self__", leq))
+    hit = memo.unify.get(key)
     if hit is None:
-        hit = raw(c1, c2, th, leq)
-        memo_put(cache, cache_key, hit, UNIFY_CACHE_CAP)
+        hit = memo.unify[key] = raw(c1, c2, th, leq, memo)
     if not hit:
         return hit
     # the substitutions bind only variables the renaming made
@@ -394,7 +387,7 @@ def _memoized(raw, t1: Term, t2: Term, th: EquationalTheory,
 
 
 def _unify_modulo_raw(t1: Term, t2: Term, th: EquationalTheory,
-                      leq) -> tuple:
+                      leq, memo: Optional[Memo] = None) -> tuple:
     """Unify each variant of t1 with each variant of t2 modulo the axioms.
 
     The normal form of an E-unifier factors through one variant of each
@@ -404,7 +397,7 @@ def _unify_modulo_raw(t1: Term, t2: Term, th: EquationalTheory,
     """
     vars1, vars2 = variables(t1), variables(t2)
     problem_vars = vars1 | vars2
-    side1, side2 = side_variants(t1, th), side_variants(t2, th)
+    side1, side2 = side_variants(t1, th, memo), side_variants(t2, th, memo)
     shared = sorted(vars1 & vars2, key=term_key)
 
     def goal(u, sigma):
@@ -485,7 +478,8 @@ def _apart(t: Term, th: EquationalTheory) -> tuple:
 
 
 def match_modulo(pattern: Term, target: Term, th: EquationalTheory,
-                 leq=None, binding: Optional[dict] = None) -> tuple:
+                 leq=None, binding: Optional[dict] = None,
+                 memo: Optional[Memo] = None) -> tuple:
     """Matchers of pattern against target modulo th: substitutions of the
     pattern's variables under which it equals the target, whose variables
     stay fixed.  Given a `binding` of pattern variables to target terms,
@@ -497,14 +491,14 @@ def match_modulo(pattern: Term, target: Term, th: EquationalTheory,
     if bound:
         pattern = App("%tup", (pattern, *bound), "Msg")
         target = App("%tup", (target, *(binding[v] for v in bound)), "Msg")
-    got = _memoized(_match_modulo_raw, pattern, target, th, leq)
+    got = _memoized(_match_modulo_raw, pattern, target, th, leq, memo)
     if not binding:
         return got
     return tuple(Subst({**s, **binding}, _trusted=True) for s in got)
 
 
 def _match_modulo_raw(pattern: Term, target: Term, th: EquationalTheory,
-                      leq) -> tuple:
+                      leq, memo: Optional[Memo] = None) -> tuple:
     """Match each variant of the pattern (`side_variants`), renamed apart
     from the target, against the target's normal form (`theory.match_ax`);
     keep the matchers that normalize and compare equal.  Where `match_ax`
@@ -514,7 +508,7 @@ def _match_modulo_raw(pattern: Term, target: Term, th: EquationalTheory,
     subject = normalize(target, th)
     fixed = back.keys() | variables(subject)  # others come from narrowing
     out, sums = [], False
-    for u, sigma in side_variants(pat, th):
+    for u, sigma in side_variants(pat, th, memo):
         sums = sums or _has_sum(u, th)
         for b in match_ax(canon(u, th), subject, th, leq=leq):
             cand = _deflate(Subst({x: normalize(_apply(b, sigma(x)), th)
@@ -523,7 +517,7 @@ def _match_modulo_raw(pattern: Term, target: Term, th: EquationalTheory,
                 out.append(Subst({back[x]: _apply(back, t)
                                   for x, t in cand.items()}, _trusted=True))
     if not out and sums:
-        out = _match_by_unifying(pattern, subject, th, leq)
+        out = _match_by_unifying(pattern, subject, th, leq, memo)
     return tuple(sorted(_distinct(out), key=_subst_key))
 
 
@@ -533,7 +527,7 @@ def _has_sum(t: Term, th: EquationalTheory) -> bool:
 
 
 def _match_by_unifying(pattern: Term, subject: Term, th: EquationalTheory,
-                       leq) -> list:
+                       leq, memo: Optional[Memo] = None) -> list:
     """The unifiers of pattern and the normal form subject, whose variables
     are frozen to constants of their sorts that no unifier binds, thawed."""
     frozen = {v: App(f"%frozen:{v.name}", (), v.sort)
@@ -544,4 +538,5 @@ def _match_by_unifying(pattern: Term, subject: Term, th: EquationalTheory,
             if isinstance(t, App) else t
     return [Subst({x: normalize(thawed(t), th) for x, t in s.items()},
                   _trusted=True)
-            for s in unify_modulo(pattern, _apply(frozen, subject), th, leq)]
+            for s in unify_modulo(pattern, _apply(frozen, subject), th, leq,
+                                  memo)]

@@ -119,7 +119,7 @@ def _module_state(path: pathlib.Path) -> list:
     container or a counter: a list, dict or set display or comprehension,
     or a call of a container type or `itertools.count`; and module-level
     names of any case bound to an `EquationalTheory(...)`, which holds
-    memos."""
+    state of its own."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     out = []
     for node in tree.body:
@@ -224,10 +224,6 @@ def test_no_process_but_the_allowed():
 # The fields of `EquationalTheory` that are not part of its value: state
 # that lives as long as the theory, each with the reason it is there.
 THEORY_STATE = {
-    "_unify_cache": "the memo of `unify_modulo` up to renaming, capped by "
-                    "`UNIFY_CACHE_CAP`",
-    "_variant_cache": "the memo of `side_variants` up to renaming, capped "
-                      "by `VARIANT_CACHE_CAP`",
     "_canon_leaves": "one shared leaf per name, so that renamed copies "
                      "compare by identity; as many as the widest renaming",
     "nilpotent": "each exclusive-or operator's unit, read from the axioms "
@@ -239,7 +235,8 @@ THEORY_STATE = {
 
 def test_no_theory_state_but_the_allowed():
     """A new memo or counter on the theory must give its reason here;
-    canonical and normal forms live on the term nodes instead."""
+    canonical and normal forms live on the term nodes instead, and the
+    memos of unification on each search (`MEMO_OWNERS`)."""
     import dataclasses
 
     from strandkit.theory import EquationalTheory
@@ -247,6 +244,71 @@ def test_no_theory_state_but_the_allowed():
     found = {f.name for f in dataclasses.fields(EquationalTheory)
              if not f.compare}
     assert found == set(THEORY_STATE), found
+
+
+# the functions that may make a `unify.Memo`, by module and qualified
+# name, each with the reason it owns one: a memo lives as long as the call
+# that made it, so it holds only what that call asked
+MEMO_OWNERS = {
+    ("search.py", "reachability_search"): "one search, its grammar "
+                                          "included",
+    ("search.py", "_levels"): "one breadth-first search to a depth",
+    ("search.py", "trace_replay"): "one replay of a found trace",
+    ("grammar.py", "Grammar.__init__"): "a grammar built without a search",
+    ("oracle.py", "instantiates_pattern"): "one pattern check",
+    ("dsl.py", "validate_composition"): "one validation of a document",
+    ("unify.py", "side_variants"): "one call given no memo",
+    ("unify.py", "_memoized"): "one call given no memo",
+}
+
+
+def _memo_makers(path: pathlib.Path) -> list:
+    """Calls of `Memo(...)`, by line and the function whose body makes
+    them, named `Class.method` for a method and by the outermost function
+    for a nested one; None at module level, in a class body and in a
+    default argument value, which are evaluated once."""
+    out = []
+
+    def visit(node, owner, prefix=""):
+        if isinstance(node, ast.Call) and "Memo" in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None)):
+            out.append((node.lineno, owner))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for child in [node.args, *node.decorator_list]:
+                visit(child, owner, prefix)
+            inner = owner or f"{prefix}{node.name}"
+            for child in node.body:
+                visit(child, inner)
+        elif isinstance(node, ast.ClassDef) and owner is None:
+            for child in node.body:
+                visit(child, None, f"{prefix}{node.name}.")
+        else:
+            for child in ast.iter_child_nodes(node):
+                visit(child, owner, prefix)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return sorted(out, key=lambda m: m[0])
+
+
+def test_scan_finds_memo_makers(tmp_path):
+    mod = tmp_path / "m.py"
+    mod.write_text("from strandkit import unify\n"
+                   "from strandkit.unify import Memo\n\n"
+                   "SHARED = Memo()\n\n\n"
+                   "def f(memo=Memo()):\n"
+                   "    def g():\n        return unify.Memo()\n"
+                   "    return memo, g, Memo\n\n\n"
+                   "class C:\n    memo = Memo()\n\n"
+                   "    def __init__(self):\n        self.memo = Memo()\n")
+    assert _memo_makers(mod) == [(4, None), (7, None), (9, "f"),
+                                 (14, None), (17, "C.__init__")]
+
+
+def test_no_memo_but_the_allowed():
+    found = {(path.name, name) for path in MODULES
+             for _, name in _memo_makers(path)}
+    assert found == set(MEMO_OWNERS), found
 
 
 @pytest.mark.parametrize("make", [

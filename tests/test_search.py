@@ -1,4 +1,5 @@
 """Breadth-first backward reachability, tracing and comparison reports."""
+import gc
 import os
 import pathlib
 import time
@@ -16,7 +17,7 @@ from strandkit.model import (
     instantiate,
     is_initial,
 )
-from strandkit import search
+from strandkit import search, terms
 from strandkit.search import (
     ATTACK_FOUND,
     INCONCLUSIVE,
@@ -34,6 +35,7 @@ from strandkit.search import (
 from strandkit.semantics import ABSTRACT, BASIC, SYNC, runtime_spec, trans_inv
 from strandkit.terms import App, FreshConst, Var
 from strandkit.theory import StepBudgetExceeded
+from strandkit.unify import Memo
 
 SPECS = pathlib.Path(__file__).resolve().parents[1] / "specs"
 
@@ -129,19 +131,44 @@ def test_search_is_deterministic(nsl_db):
     assert runs[0] == runs[1]
 
 
-def test_memo_entries_count_the_searched_theory(nsl, nsl_db):
-    first = runtime_spec(nsl_db, SYNC)
-    reachability_search(attack_state(nsl_db, "a1", first, Minter()), first,
-                        SYNC, SearchBudget(max_depth=2, max_states=2000))
+def test_memo_entries_count_the_searchs_own_memo(nsl, monkeypatch):
+    made = []
+
+    def recorded():
+        made.append(Memo())
+        return made[-1]
+
+    monkeypatch.setattr(search, "Memo", recorded)
     spec = runtime_spec(nsl, BASIC)
-    assert spec.theory is not first.theory
-    res = reachability_search(attack_state(nsl, "secrecy", spec, Minter()),
-                              spec, BASIC, SearchBudget(max_depth=2))
-    # the first search filled memos of its own theory, which stay apart
-    assert first.theory._unify_cache and first.theory._variant_cache
-    th = spec.theory
-    assert res.stats["memo_entries"] == {
-        "unify": len(th._unify_cache), "variants": len(th._variant_cache)}
+    counts = []
+    for depth in (2, 1, 2):
+        res = reachability_search(attack_state(nsl, "secrecy", spec, Minter()),
+                                  spec, BASIC, SearchBudget(max_depth=depth))
+        memo = made[-1]
+        assert res.stats["memo_entries"] == {
+            "unify": len(memo.unify), "variants": len(memo.variants)}
+        counts.append(res.stats["memo_entries"])
+    # one memo per search, and two searches on one theory share nothing
+    assert len(made) == 3
+    assert counts[0] == counts[2] and counts[1]["unify"] < counts[0]["unify"]
+
+
+def test_a_dropped_search_leaves_no_terms_behind():
+    """A search's memos go with it: once its result is dropped, the term
+    nodes alive are about as many as before it ran."""
+    doc = load("nsl.strand")  # a theory no other test has searched in
+    spec = runtime_spec(doc, BASIC)
+
+    def run(depth):
+        start = attack_state(doc, "secrecy", spec, Minter())
+        reachability_search(start, spec, BASIC, SearchBudget(max_depth=depth))
+
+    run(1)  # the theory's rule index and canonical leaves now exist
+    gc.collect()
+    before = len(terms._interned)
+    run(4)
+    gc.collect()
+    assert len(terms._interned) - before <= 16
 
 
 def test_trace_to_dot_shape(nsl):

@@ -331,7 +331,7 @@ def test_backward_then_forward_roundtrip(nsl_db):
 
 def test_runtime_specs_of_one_document_share_one_theory(nsl_db):
     # the merged signature and theory are built once per document, so the
-    # specs of every mode share the theory's memos
+    # specs of every mode share the theory's canonical leaves
     sync, abstract, basic = (runtime_spec(nsl_db, m)
                              for m in (SYNC, ABSTRACT, BASIC))
     assert sync.theory is abstract.theory is basic.theory

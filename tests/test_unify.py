@@ -30,8 +30,8 @@ from strandkit.theory import (
     normalize,
 )
 from strandkit.unify import (
+    Memo,
     match_modulo,
-    memo_put,
     unify_canonical,
     unify_modulo,
     variants,
@@ -493,10 +493,10 @@ def test_renamed_sides_narrow_once(monkeypatch):
         return variants(t, th)
 
     monkeypatch.setattr(unify, "variants", counted)
-    th = EquationalTheory(rules=ED_TH.rules)  # a memo of its own
+    th, memo = EquationalTheory(rules=ED_TH.rules), Memo()
     K2, X2 = Var("K2"), Var("X2")
-    first = unify.side_variants(d(K, X), th)
-    second = unify.side_variants(d(K2, X2), th)
+    first = unify.side_variants(d(K, X), th, memo)
+    second = unify.side_variants(d(K2, X2), th, memo)
     assert len(calls) == 1
     assert {v for _, s in first for v in s} == {K, X}
     assert {v for _, s in second for v in s} == {K2, X2}
@@ -504,10 +504,14 @@ def test_renamed_sides_narrow_once(monkeypatch):
     narrowed = [vs for vs in narrowed if vs]
     # each call renames the narrowing variables apart
     assert len(narrowed) == 2 and not set.intersection(*narrowed)
-    assert unify.memo_entries(th)["variants"] == 1
-    got = unify_modulo(d(K2, X2), const("m"), th)
+    assert len(memo.variants) == 1
+    got = unify_modulo(d(K2, X2), const("m"), th, memo=memo)
     assert len(calls) == 2  # only the new side `m` is narrowed
     assert [s(X2) for s in got] == [e(K2, const("m"))]
+    # without a memo, each call narrows afresh in a memo of its own
+    unify.side_variants(d(K, X), th)
+    unify_modulo(d(K2, X2), const("m"), th)
+    assert len(calls) == 5 and len(memo.variants) == 2
 
 
 def test_renamed_match_problems_narrow_once(monkeypatch):
@@ -518,11 +522,12 @@ def test_renamed_match_problems_narrow_once(monkeypatch):
         return variants(t, th)
 
     monkeypatch.setattr(unify, "variants", counted)
-    th = EquationalTheory(rules=ED_TH.rules)  # a memo of its own
+    th, memo = EquationalTheory(rules=ED_TH.rules), Memo()
     A, B, A2, B2, K2, X2 = (Var(n) for n in ("A", "B", "A2", "B2", "K2", "X2"))
-    first = match_modulo(d(K, X), d(A, e(A, B)), th)
-    second = match_modulo(d(K2, X2), d(A2, e(A2, B2)), th)
+    first = match_modulo(d(K, X), d(A, e(A, B)), th, memo=memo)
+    second = match_modulo(d(K2, X2), d(A2, e(A2, B2)), th, memo=memo)
     assert len(calls) == 1  # only the pattern is narrowed, and only once
+    assert len(memo.unify) == len(memo.variants) == 1
     assert first
     ren = Subst({A: A2, B: B2, K: K2, X: X2}, _trusted=True)
     assert [(ren(s(K)), ren(s(X))) for s in first] == \
@@ -546,13 +551,14 @@ def test_renamed_copies_share_one_canonical_node():
 
 
 def test_a_memo_hit_adds_no_canonical_leaf():
-    th = EquationalTheory(rules=ED_TH.rules)
+    th, memo = EquationalTheory(rules=ED_TH.rules), Memo()
     K2, X2, Y2 = Var("K2"), Var("X2"), Var("Y2")
-    first = unify_modulo(d(K, X), App("f", (Y, FreshConst(1)), "Msg"), th)
-    leaves_after, memo_after = dict(th._canon_leaves), len(th._unify_cache)
+    first = unify_modulo(d(K, X), App("f", (Y, FreshConst(1)), "Msg"), th,
+                         memo=memo)
+    leaves_after = dict(th._canon_leaves)
     second = unify_modulo(d(K2, X2), App("f", (Y2, FreshConst(5)), "Msg"),
-                          th)
-    assert len(th._unify_cache) == memo_after  # a memo hit
+                          th, memo=memo)
+    assert len(memo.unify) == 1  # the second call was a memo hit
     assert th._canon_leaves == leaves_after
     assert all(th._canon_leaves[k] is v for k, v in leaves_after.items())
     assert [s(X) for s in first] == [e(K, App("f", (Y, FreshConst(1)),
@@ -639,59 +645,3 @@ def test_instance_check_agrees_on_xor_tuples(sum1, sum2, with_w, images,
     want = flip is None or with_w
     assert unify._is_instance_of(general, specific, pvs, XOR_TH) == want
     assert want or not _frozen_instance_of(general, specific, pvs, XOR_TH)
-
-
-def test_a_full_memo_drops_its_oldest_entry():
-    cache: dict = {}
-    for i in range(10):
-        memo_put(cache, i, -i, 4)
-        assert len(cache) == min(i + 1, 4)
-    assert list(cache) == [6, 7, 8, 9]
-    memo_put(cache, 7, -7, 4)  # a key it holds drops nothing
-    assert list(cache) == [6, 7, 8, 9]
-    assert cache.get(6) == -6  # a hit leaves the order alone
-    memo_put(cache, 10, -10, 4)
-    assert list(cache) == [7, 8, 9, 10]
-
-
-def _shape(t):
-    """t up to a renaming of its variables and fresh constants."""
-    number: dict = {}
-    return skeleton(t), tuple(number.setdefault(x, len(number))
-                              for x in leaves(t))
-
-
-CAPS = ("UNIFY_CACHE_CAP", "VARIANT_CACHE_CAP")
-
-
-def _memo_answers(caps: int = 0) -> list:
-    a, b = const("a"), const("b")
-    problems = [
-        (ED_TH.rules, (), d(K, X), Y),
-        (ED_TH.rules, (), e(K, d(M, X)), e(K, Z)),
-        (ED_TH.rules, (), d(K, e(M, X)), const("m")),
-        ((), XOR_TH.axioms, xor(X, Y), xor(a, b)),
-        ((), XOR_TH.axioms, xor(X, e(K, Y)), xor(a, e(K, b))),
-        ((), XOR_TH.axioms, xor(X, Z), xor(Y, a)),
-    ]
-    themes = {}
-    out = []
-    for _ in range(2):  # the second round meets what the memos kept
-        for rules, axioms, t1, t2 in problems:
-            th = themes.setdefault((rules, axioms), EquationalTheory(
-                rules=rules, axioms=axioms))
-            got = unify_modulo(t1, t2, th)
-            vs = sorted(variables(t1) | variables(t2), key=term_key)
-            out.append(sorted(
-                _shape(App("%tup", tuple(s(v) for v in vs))) for s in got))
-            if caps:
-                assert len(th._unify_cache) <= caps
-                assert len(th._variant_cache) <= caps
-    return out
-
-
-def test_memos_at_a_small_cap_stay_there_and_answer_the_same(monkeypatch):
-    want = _memo_answers()
-    for name in CAPS:
-        monkeypatch.setattr(unify, name, 3)
-    assert _memo_answers(3) == want
