@@ -55,7 +55,6 @@ from .semantics import _interface, _parent_roles
 from .terms import (
     App,
     FRESH,
-    FreshConst,
     Subst,
     Var,
     _apply,
@@ -63,7 +62,7 @@ from .terms import (
     term_key,
     variables,
 )
-from .theory import _Budget, canon, normalize
+from .theory import _Budget, canon, normalize, rigid
 from .unify import (
     Memo,
     match_modulo,
@@ -94,13 +93,6 @@ class Grammar:
         self.theory = th
         self.leq = spec.signature.leq
         self.memo = Memo() if memo is None else memo
-        # per rule root, the argument positions holding an application
-        self._blockers: dict = {}
-        for lhs, _ in th.rules:
-            if isinstance(lhs, App):
-                self._blockers.setdefault(lhs.op, []).append(tuple(
-                    (k, a.op) for k, a in enumerate(lhs.args)
-                    if isinstance(a, App)))
         self._xor = th.nilpotent
         # sorts a sum can have: a variable of another sort is never a sum
         self._sum_sorts = {res for (op, _), (_, res) in spec.signature.ops.items()
@@ -164,7 +156,8 @@ class Grammar:
         # a term that an instance rewrites can leave the language; split
         # on the irreducible forms of all instances instead
         parts = list(known) + list(received) + list(to_learn)
-        if all(self._rigid(t, None) for t in parts if not isinstance(t, Var)) \
+        if all(rigid(t, self.theory) for t in parts
+               if not isinstance(t, Var)) \
                 or any(self._open_sum(t) for t in parts):
             return False  # nothing to split on, or too costly to split
         k, r = len(known), len(received)
@@ -267,7 +260,7 @@ class Grammar:
             yield from self._sum_derivations(t, base, assumed, deep)
             return
         prods = self._productions.get(t.op)
-        if not prods or not self._rigid(t, assumed):
+        if not prods or not rigid(t, self.theory, assumed):
             return
         for j, exceptions in prods.items():
             for path, excl, dp in self._derivations(t.args[j], base, assumed,
@@ -282,7 +275,7 @@ class Grammar:
     def _sum_derivations(self, s, base, assumed, deep):
         atoms = s.args
         if not all(self._never_sum(a) if isinstance(a, Var) else
-                   self._rigid(a, assumed) and
+                   rigid(a, self.theory, assumed) and
                    not (isinstance(a, App) and a.op in self._xor)
                    for a in atoms):
             return
@@ -313,49 +306,9 @@ class Grammar:
             out += [(sg, rest) for sg in self._unifiers(t, e, assumed)]
         return out
 
-    def rigid(self, t) -> bool:
-        """Every instance of t keeps its root, so it is never a variable."""
-        return self._rigid(t, None)
-
-    def apart(self, t, u) -> bool:
-        """No instance of t equals an instance of u (a True answer is
-        always right, a False one may be too cautious)."""
-        if is_ground(t) and is_ground(u):
-            return normalize(t, self.theory) != normalize(u, self.theory)
-        if isinstance(t, Var) or isinstance(u, Var):
-            return False
-        if isinstance(t, FreshConst) and isinstance(u, FreshConst):
-            return t != u
-        if not (self.rigid(t) and self.rigid(u)):
-            return False
-        if isinstance(t, FreshConst) or isinstance(u, FreshConst) or \
-                t.op != u.op or len(t.args) != len(u.args):
-            return True
-        return any(self.apart(a, b) for a, b in zip(t.args, u.args))
-
-    def _rigid(self, t, assumed) -> bool:
-        """Every instance keeps t's root and its arguments' instances."""
-        if isinstance(t, FreshConst):
-            return True
-        if isinstance(t, Var):
-            return False
-        if is_ground(t) or (assumed and t in assumed):
-            return True
-        if t.op in self._xor:
-            return False
-        for blocking in self._blockers.get(t.op, ()):
-            if not any(isinstance(t.args[k], FreshConst) or
-                       (isinstance(t.args[k], App) and t.args[k].op != h and
-                        self._rigid(t.args[k], assumed))
-                       for k, h in blocking):
-                return False
-        return True
-
     def _unifiers(self, t, e, assumed):
         """Unifiers of t and e that keep every assumed term irreducible (a
         reducible term stays so in all instances)."""
-        if self.apart(t, e):
-            return []
         if self._memo is not None:
             key = (t, e, frozenset(assumed or ()))
             if key in self._memo:
@@ -386,7 +339,9 @@ class Grammar:
         """Every send a backward search can use, with the messages received
         before it on its strand: the strands it starts from, the parents
         the composition rules can add to them, and the sends that strand
-        introduction can explain a demand with."""
+        introduction can explain a demand with, each once: a parent with no
+        parent of its own gives its sends both as a prefix and handed
+        over."""
         item_lists = [s.items for s in extra_strands]
         for role in sorted(spec.schemas):
             prefix = []
@@ -408,7 +363,7 @@ class Grammar:
                 else:
                     out.append((normalize(it.payload, self.theory),
                                 tuple(received)))
-        return out
+        return list(dict.fromkeys(out))  # each once, in order
 
     @staticmethod
     def _parents(spec, mode, extra_strands) -> set:

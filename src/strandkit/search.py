@@ -37,7 +37,8 @@ from .semantics import (
 )
 from .terms import FRESH, App, FreshConst, Var, _apply, fresh_constants, \
     is_ground, term_key, term_size, variables
-from .theory import canon, canonical_leaf, match_ax, normalize
+from .theory import apart, canon, canonical_leaf, match_ax, normalize, \
+    rigid
 from .unify import Memo, match_modulo
 
 
@@ -412,14 +413,14 @@ def steps_left(state: SymbolicState, grammar) -> int:
                     sent.append(it.payload)
             elif it.direction == "in":
                 items += 1
-    facts: list = []
+    th, facts = grammar.theory, []
     for f in state.facts:
         t = f.payload
-        if f.kind == KNOWN and grammar.rigid(t) and \
-                all(grammar.apart(t, u) for u in facts):
+        if f.kind == KNOWN and rigid(t, th) and \
+                all(apart(t, u, th) for u in facts):
             facts.append(t)
     by_sends = sum(1 for t in facts
-                   if any(not grammar.apart(m, t) for m in sent))
+                   if any(not apart(m, t, th) for m in sent))
     return max(1, items + len(facts) - min(len(sent), by_sends))
 
 

@@ -41,7 +41,7 @@ from .model import (
 from .terms import App, FRESH, IDENTITY, MSG, Signature, Subst, Term, \
     _apply, is_ground, term_size
 from .terms import Var as VarType
-from .theory import EquationalTheory, eq_modulo, normalize
+from .theory import EquationalTheory, apart, eq_modulo, normalize
 from .unify import Memo, match_modulo, unify_modulo
 
 BASIC = "basic"
@@ -158,7 +158,11 @@ def backward_successors(state: SymbolicState, spec: RuntimeSpec, mode: str,
     step that uses none of its demands, so it can always be undone right
     before the first step that does.
 
-    `memo` holds the unification memos of the search that asks.
+    Each unification is answered by a clash, then the memo, then the loop
+    over variants (`unify`).  Strand introduction tests a send for a
+    clash with the fact before it instantiates the schema, and not again
+    on the instance.  `memo` holds the unification memos of the search
+    that asks.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode}")
@@ -269,8 +273,8 @@ def backward_successors(state: SymbolicState, spec: RuntimeSpec, mode: str,
             for idx, it in enumerate(schema.items):
                 if not isinstance(it, SignedMessage):
                     break  # interface item before this send
-                if it.polarity != "+":
-                    continue
+                if it.polarity != "+" or apart(it.payload, f.payload, th):
+                    continue  # no instance of this send is the fact
                 inst = instantiate(schema, minter, bar=idx)
                 demands = [x.payload for x in inst.items[:idx]
                            if x.polarity == "-"]
@@ -278,7 +282,7 @@ def backward_successors(state: SymbolicState, spec: RuntimeSpec, mode: str,
                                      f.payload, th) if xor_splits else None
                 for sg in split if split is not None else \
                         unify_modulo(inst.items[idx].payload, f.payload, th,
-                                     leq, memo):
+                                     leq, memo, clash_tested=True):
                     pred = _flip_fact(state, fi)
                     for d in demands:
                         pred = _add_fact(pred, IntruderFact(KNOWN, d))

@@ -20,6 +20,7 @@ from .terms import (
     Term,
     Var,
     _apply,
+    is_ground,
     term_key,
     variables,
 )
@@ -87,9 +88,12 @@ class EquationalTheory:
     def rule_index(self) -> dict:
         """The rules to try under each head symbol, built once per theory.
 
-        Entries are (lhs, rhs, lhs', rhs') in declaration order; lhs' and
-        rhs' have their variables renamed with a `%rule` suffix, apart from
-        any subject term, for matching.
+        Entries are (lhs, rhs, lhs', rhs', blocking) in declaration order;
+        lhs' and rhs' have their variables renamed with a `%rule` suffix,
+        apart from any subject term, for matching.  `blocking` holds the
+        (position, head) pairs of lhs's arguments that are applications
+        with a head that is not nilpotent: an argument that keeps another
+        head never matches there (a sum matches any term, `absorber`).
 
         Two canonical applications with different heads unify only when
         one head is nilpotent.  So `index[op]` holds the rules whose
@@ -107,7 +111,12 @@ class EquationalTheory:
                 c = canon(lhs, self)
                 head = c.op if isinstance(c, App) and \
                     c.op not in self.nilpotent else None
-                entries.append((head, (lhs, rhs, ren(lhs), ren(rhs))))
+                blocking = tuple((k, a.op) for k, a in enumerate(lhs.args)
+                                 if isinstance(a, App) and
+                                 a.op not in self.nilpotent) \
+                    if isinstance(lhs, App) else ()
+                entries.append((head, (lhs, rhs, ren(lhs), ren(rhs),
+                                       blocking)))
             ops = {None, *(h for h, _ in entries), *self.nilpotent}
             m = {op: tuple(e for h, e in entries
                            if h in (op, None) or op in self.nilpotent)
@@ -409,7 +418,7 @@ def _normalize(t: Term, th: EquationalTheory, budget: _Budget) -> Term:
 
 
 def _rewrite_root(t: App, th: EquationalTheory, budget: _Budget) -> Optional[Term]:
-    for _, _, lhs_r, rhs_r in th.rule_index().get(t.op, ()):
+    for _, _, lhs_r, rhs_r, _ in th.rule_index().get(t.op, ()):
         if not isinstance(lhs_r, App) or lhs_r.op != t.op:
             continue  # match_ax needs the same head
         for b in match_ax(lhs_r, t, th):
@@ -421,3 +430,45 @@ def _rewrite_root(t: App, th: EquationalTheory, budget: _Budget) -> Optional[Ter
 def eq_modulo(t1: Term, t2: Term, th: EquationalTheory) -> bool:
     """Equality modulo the full theory: normalize both sides and compare."""
     return normalize(t1, th) == normalize(t2, th)
+
+
+def rigid(t: Term, th: EquationalTheory, assumed=None) -> bool:
+    """Every instance keeps t's root and its arguments' instances, so no
+    rule rewrites it at the root.  `assumed` holds terms taken to be
+    irreducible in every instance."""
+    if isinstance(t, FreshConst):
+        return True
+    if isinstance(t, Var):
+        return False
+    if is_ground(t) or (assumed and t in assumed):
+        return True
+    if t.op in th.nilpotent:
+        return False
+    for _, _, lhs_r, _, blocking in th.rule_index().get(t.op, ()):
+        if not isinstance(lhs_r, App) or lhs_r.op != t.op:
+            continue  # `normalize` tries it on its own head alone
+        if not any(isinstance(t.args[k], FreshConst) or
+                   (isinstance(t.args[k], App) and t.args[k].op != h and
+                    rigid(t.args[k], th, assumed))
+                   for k, h in blocking):
+            return False
+    return True
+
+
+def apart(t: Term, u: Term, th: EquationalTheory) -> bool:
+    """No instance of t equals an instance of u modulo th: their normal
+    forms clash on a symbol both keep in every instance.  A True answer is
+    always right, a False one may be too cautious."""
+    return _clash(normalize(t, th), normalize(u, th), th)
+
+
+def _clash(t: Term, u: Term, th: EquationalTheory) -> bool:
+    """`apart` on normal forms."""
+    if is_ground(t) and is_ground(u):
+        return t != u
+    if not (rigid(t, th) and rigid(u, th)):
+        return False  # a variable, or a root some instance rewrites
+    if not (isinstance(t, App) and isinstance(u, App)) or \
+            t.op != u.op or len(t.args) != len(u.args):
+        return True
+    return any(_clash(a, b, th) for a, b in zip(t.args, u.args))

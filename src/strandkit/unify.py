@@ -15,6 +15,10 @@ never depends on the solver internals.  Matching modulo the theory
 (`match_modulo`) runs `theory.match_ax` on the variants of the pattern
 alone, and unifies with the target's variables frozen where that finds
 no matcher of a sum.
+
+A problem is answered, in this order, by a clash of symbols that every
+instance keeps (`theory.apart`: no answer, and nothing renamed), by the
+memo, or by the loop over pairs of variants.
 """
 from __future__ import annotations
 
@@ -39,6 +43,7 @@ from .theory import (
     EquationalTheory,
     _Budget,
     absorber,
+    apart,
     ac_atoms,
     canon,
     canonical_leaf,
@@ -247,7 +252,7 @@ def _narrow_once(u: Term, sigma: Subst, th: EquationalTheory, names):
         if not isinstance(sub, App):
             continue
         # u is normal, so sub is canonical: the other rules cannot unify
-        for lhs, rhs, _, _ in index.get(sub.op, wild):
+        for lhs, rhs, _, _, _ in index.get(sub.op, wild):
             suffix = f"v{next(names)}"
             ren = {v: Var(f"{v.name}%{suffix}", v.sort) for v in variables(lhs)}
             rs = Subst(ren, _trusted=True)
@@ -350,7 +355,8 @@ def side_variants(t: Term, th: EquationalTheory,
 
 
 def unify_modulo(t1: Term, t2: Term, th: EquationalTheory,
-                 leq=None, memo: Optional[Memo] = None) -> tuple:
+                 leq=None, memo: Optional[Memo] = None,
+                 clash_tested: bool = False) -> tuple:
     """The verified unifiers modulo th, as a tuple of Subst.  Raises
     StepBudgetExceeded when the axiom solver's branch budget runs out.
 
@@ -358,11 +364,16 @@ def unify_modulo(t1: Term, t2: Term, th: EquationalTheory,
     variables of the problem, verified by substitute-normalize-compare,
     and minimized by discarding instances of more general unifiers.
 
-    Results are memoized in `memo` up to a renaming of variables and
+    A clash of the sides (`theory.apart`) answers () before any renaming;
+    `clash_tested` skips that test where the caller made it already.  The
+    answer is the same either way: the test only saves the round trip.
+    Other results are memoized in `memo` up to a renaming of variables and
     fresh constants, since backward search poses the same problems over
     and over with freshly renamed strand instances; without a memo the
     call uses a fresh one of its own.
     """
+    if not clash_tested and apart(t1, t2, th):
+        return ()  # a symbol clash: nothing renamed, nothing memoized
     return _memoized(_unify_modulo_raw, t1, t2, th, leq, memo)
 
 
@@ -485,7 +496,9 @@ def match_modulo(pattern: Term, target: Term, th: EquationalTheory,
     stay fixed.  Given a `binding` of pattern variables to target terms,
     the images of the bound variables of the pattern are matched as part
     of the target, and each matcher extends the binding.  Memoized like
-    `unify_modulo`."""
+    `unify_modulo`, after the same clash test."""
+    if apart(pattern, target, th):
+        return ()
     bound = sorted(variables(pattern) & binding.keys(), key=term_key) \
         if binding else ()
     if bound:

@@ -371,3 +371,35 @@ def test_scan_finds_a_key_comparison(tmp_path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_term_keys_only_order(path):
     assert _key_comparisons(path) == []
+
+
+# functions that must have one definition in the package: the rigid-clash
+# test that unification, strand introduction, the grammar and the search
+# bound all ask, and the rigidity test under it
+ONE_HOME = {"apart": "theory.py", "rigid": "theory.py"}
+
+
+def _definitions(path: pathlib.Path, names) -> list:
+    """Lines and names of the functions and methods, at any depth, whose
+    name is one of `names`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return sorted((node.lineno, node.name) for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and node.name in names)
+
+
+def test_scan_finds_definitions(tmp_path):
+    mod = tmp_path / "m.py"
+    mod.write_text("def apart(t, u):\n    return t != u\n\n\n"
+                   "class G:\n    def apart(self, t, u):\n"
+                   "        def rigid(t):\n            return True\n"
+                   "        return rigid(t)\n\n    def _apart(self):\n"
+                   "        pass\n")
+    assert _definitions(mod, ONE_HOME) == [(1, "apart"), (6, "apart"),
+                                           (7, "rigid")]
+
+
+def test_apartness_is_defined_once():
+    found = sorted((path.name, name) for path in MODULES
+                   for _, name in _definitions(path, ONE_HOME))
+    assert found == sorted((m, n) for n, m in ONE_HOME.items()), found

@@ -294,6 +294,61 @@ def test_ground_completeness_small_universe(th, t1, t2):
     assert checked > 0
 
 
+# The theories of the shipped specs, untyped: pk/sk, e/d and pk/sk with
+# exclusive-or, each with a free operator f that no rule rewrites; and a
+# rule with a sum in its left side, which also matches a term that is no
+# sum: g(X * Y, c) normalizes g(a, c) to c.
+XOR_PK_TH = EquationalTheory(rules=PK_TH.rules, axioms=XOR_TH.axioms)
+SUM_LHS_TH = EquationalTheory(rules=((App("g", (xor(X, Y), C_), "Msg"), C_),),
+                              axioms=XOR_TH.axioms)
+CLASH_THEORIES = [(PK_TH, ("pk", "sk")), (ED_TH, ("e", "d")),
+                  (XOR_PK_TH, ("xor", "pk", "sk")),
+                  (SUM_LHS_TH, ("xor", "g"))]
+CLASH_LEAVES = st.sampled_from([A_, B_, C_, X, Y, FreshConst(1, "r"),
+                                FreshConst(2, "r")])
+
+
+def _clash_terms(ops):
+    """Small terms over the operators and f, reducible ones included."""
+    return st.recursive(CLASH_LEAVES, lambda kids: st.one_of(
+        st.builds(lambda k: App("f", (k,), "Msg"), kids),
+        st.builds(lambda op, l, r: App(op, (l, r), "Msg"),
+                  st.sampled_from(ops), kids, kids)), max_leaves=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_apart_sides_have_no_unifier_and_no_matcher(data):
+    """`apart` is sound: where it tells two terms apart, unification and
+    matching without the clash test find nothing either."""
+    from strandkit.theory import apart
+    from strandkit.unify import _match_modulo_raw, _unify_modulo_raw
+
+    th, ops = data.draw(st.sampled_from(CLASH_THEORIES))
+    t, u = data.draw(_clash_terms(ops)), data.draw(_clash_terms(ops))
+    if apart(t, u, th):
+        assert _unify_modulo_raw(t, u, th, None) == ()
+        assert _match_modulo_raw(t, u, th, None) == ()
+        assert _match_modulo_raw(u, t, th, None) == ()
+
+
+def test_a_sum_in_a_left_side_blocks_nothing():
+    # g(X * Y, c) matches g(a, c) with X -> Y * a, so neither a constant
+    # nor a fresh one in that place keeps g(_, W) rigid: W -> c unifies
+    # g(a, W) with c, and matches it onto c
+    from strandkit.theory import apart, rigid
+    from strandkit.unify import match_modulo
+
+    r, W = FreshConst(1, "r"), Var("W")
+    for t in (A_, r, App("f", (X,), "Msg")):
+        assert normalize(App("g", (t, C_), "Msg"), SUM_LHS_TH) == C_
+        assert not rigid(App("g", (t, W), "Msg"), SUM_LHS_TH)
+        assert not apart(App("g", (t, W), "Msg"), C_, SUM_LHS_TH)
+    gaw = App("g", (A_, W), "Msg")
+    assert unify_modulo(gaw, C_, SUM_LHS_TH) == (Subst({W: C_}),)
+    assert match_modulo(gaw, C_, SUM_LHS_TH) == (Subst({W: C_}),)
+
+
 # ----------------------------------------------- view translation bijection
 
 def test_trans_bijection_on_searched_states():

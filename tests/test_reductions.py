@@ -45,7 +45,7 @@ from strandkit.semantics import (
     runtime_spec,
 )
 from strandkit.terms import App, FreshConst, Var
-from strandkit.theory import StepBudgetExceeded
+from strandkit.theory import StepBudgetExceeded, apart
 
 from test_cli import TINY
 
@@ -397,15 +397,32 @@ def test_grammar_closure_round_budget_raises(monkeypatch):
 
 
 @pytest.mark.parametrize("fname,attack,mode", SHIPPED_GRAMMAR_CASES)
+def test_grammar_sources_are_distinct(monkeypatch, fname, attack, mode):
+    # a parent with no parent of its own, such as NSL.resp, gives its
+    # sends both as a schema prefix and handed over; each (send, received)
+    # pair is refined once
+    close, given = Grammar._close, []
+
+    def recorded(self, sources):
+        given.append(sources)
+        return close(self, sources)
+
+    monkeypatch.setattr(Grammar, "_close", recorded)
+    _build_grammar(fname, attack, mode)
+    [sources] = given
+    assert sources and len(set(sources)) == len(sources)
+
+
+@pytest.mark.parametrize("fname,attack,mode", SHIPPED_GRAMMAR_CASES)
 def test_apart_decides_only_empty_problems(monkeypatch, fname, attack, mode):
-    # `_unifiers` answers a problem whose sides `apart` tells apart with
-    # no unifier, without unifying: each such problem of a build must be
-    # one that unification finds empty
+    # `unify_modulo` answers a problem whose sides `theory.apart` tells
+    # apart with no unifier, without unifying: each such problem a build
+    # poses must be one that unification without that test finds empty
     unifiers = Grammar._unifiers
     decided = []
 
     def recorded(self, t, e, assumed):
-        if self.apart(t, e):
+        if apart(t, e, self.theory):
             decided.append((t, e))
         return unifiers(self, t, e, assumed)
 
@@ -413,5 +430,5 @@ def test_apart_decides_only_empty_problems(monkeypatch, fname, attack, mode):
     grammar = _build_grammar(fname, attack, mode)
     assert decided
     for t, e in decided:
-        got = unify.unify_modulo(t, e, grammar.theory, leq=grammar.leq)
+        got = unify._unify_modulo_raw(t, e, grammar.theory, grammar.leq)
         assert not got, (t, e)

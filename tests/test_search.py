@@ -73,6 +73,41 @@ def test_trivial_send_found_and_replayed(nsl):
     assert trace_replay(res, spec, BASIC)
 
 
+def test_clashing_sends_mint_nothing_and_the_trace_replays(nsl,
+                                                           monkeypatch):
+    # strand introduction instantiates only the sends that `apart` cannot
+    # tell from the fact, so the minter numbers fewer instances; an attack
+    # found under those numbers still replays
+    from strandkit import semantics
+    from strandkit.theory import apart
+
+    spec = runtime_spec(nsl, BASIC)
+    sig, th = spec.signature, spec.theory
+    m = sig.make("pk", sig.make("a"), sig.make("b"))
+    start = SymbolicState(facts=(IntruderFact(KNOWN, m),))
+    made = []
+
+    def recorded(schema, minter, bar=0):
+        made.append(schema.items[bar].payload)
+        return instantiate(schema, minter, bar)
+
+    monkeypatch.setattr(semantics, "instantiate", recorded)
+    semantics.backward_successors(start, spec, BASIC, Minter())
+    sends = []
+    for _, schema in sorted(spec.schemas.items()):
+        for it in schema.items:
+            if not isinstance(it, SignedMessage):
+                break
+            if it.polarity == "+":
+                sends.append(it.payload)
+    assert made == [p for p in sends if not apart(p, m, th)]
+    assert 0 < len(made) < len(sends)
+    res = reachability_search(start, spec, BASIC, SearchBudget(max_depth=3))
+    assert res.found
+    assert any(ts.rule.startswith("intro_strand") for ts in res.trace)
+    assert trace_replay(res, spec, BASIC)
+
+
 def test_unsatisfiable_demand_is_secure_finite(nsl):
     # nothing in the initial knowledge and no rule produces a bare fresh
     # nonce of an honest principal faster than the depth bound

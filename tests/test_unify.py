@@ -645,3 +645,26 @@ def test_instance_check_agrees_on_xor_tuples(sum1, sum2, with_w, images,
     want = flip is None or with_w
     assert unify._is_instance_of(general, specific, pvs, XOR_TH) == want
     assert want or not _frozen_instance_of(general, specific, pvs, XOR_TH)
+
+
+def test_clash_problems_touch_no_memo():
+    # e and d keep their roots here, so no instance of one side is an
+    # instance of the other: the clash answers before any renaming
+    th, memo = EquationalTheory(rules=ED_TH.rules), Memo()
+    m, K2 = const("m"), Var("K2")
+    assert unify_modulo(e(K, m), d(K2, m), th, memo=memo) == ()
+    assert match_modulo(e(K, m), d(K2, m), th, memo=memo) == ()
+    assert unify_modulo(App("f", (X, m), "Msg"), e(K, m), th,
+                        memo=memo) == ()
+    assert memo.unify == {} and memo.variants == {}
+    assert th._canon_leaves == {}
+    # a problem without a clash goes through the memo
+    assert unify_modulo(e(K, X), d(K2, Y), th, memo=memo)
+    assert memo.unify and memo.variants and th._canon_leaves
+    # so does a clash the caller says it has tested: the same answer,
+    # found the long way
+    fresh = Memo()
+    assert unify_modulo(e(K, m), d(K2, m), th, memo=fresh,
+                        clash_tested=True) == ()
+    assert fresh.unify
+
