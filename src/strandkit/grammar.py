@@ -24,16 +24,23 @@ produced shape becomes an exception for that path.  A send that only sums
 messages it received needs none: every atom of its result is an atom of one
 of them.
 
+Each exception list is kept minimal: an exception an entry of its list
+already covers (a more general pattern on a superset of its paths) is not
+added, and a new exception drops the entries it covers.  A dropped entry
+changes no answer: a term unifying with it unifies with the new entry by
+a more general unifier, on a superset of its paths.  Each list carries a
+version, bumped on every change.
+
 Refinement is a worklist over tasks, one per (production, send) pair and
 one per send for the atoms, taken round by round in a fixed order until a
 round adds nothing.  A task records the exception lists it read (the
 production lists and the atom list its derivations consulted, and its own
-list) and their lengths when it ended.  Exception lists only grow, so a
-task whose last run added nothing is skipped until one of those lists has
-grown: run again, it would read the same lists and add nothing again.  The
-cases of a send, the ways its irreducible instances produce a term of a
-generator, are computed once per (generator, send), and matching and
-unification problems that recur on them are memoized for the closure only.
+list) and their versions when it ended.  A task whose last run added
+nothing is skipped until one of those lists has changed: run again, it
+would read the same lists and add nothing again.  The cases of a send,
+the ways its irreducible instances produce a term of a generator, are
+computed once per (generator, send), and matching and unification
+problems that recur on them are memoized for the closure only.
 
 At the fixpoint the language is closed: the intruder learns one of its
 terms only by having known another before.  A backward path to an initial
@@ -108,15 +115,16 @@ class Grammar:
                 continue
             self._gens[op] = App(op, tuple(Var(f"%G{k}", s) for k, s in
                                            enumerate(argsorts)), result)
-            self._productions[op] = {j: [] for j, s in enumerate(argsorts)
-                                     if s != FRESH}
-        self._atom_exceptions: list = []
+            self._productions[op] = {j: _Exceptions() for j, s in
+                                     enumerate(argsorts) if s != FRESH}
+        self._atom_exceptions = _Exceptions()
         self._renamed = 0
         # while the grammar is built: the keys of the exception lists the
         # running task read, and memoized matching and unification results
         self._reads = None
         self._memo: dict = {}
-        self.stats = {"tasks_run": 0, "tasks_skipped": 0}
+        self.stats = {"tasks_run": 0, "tasks_skipped": 0,
+                      "exceptions_dropped": 0}
         self._close(self._sources(spec, mode, extra_strands))
         # a production that lost its most general term along every path
         for op, prods in self._productions.items():
@@ -125,7 +133,9 @@ class Grammar:
                              for mode in (EXACT, BELOW))]:
                 del prods[j]
         self._memo = None
-        self.stats["exceptions"] = self._renamed
+        self.stats["exceptions"] = len(self._atom_exceptions) + sum(
+            len(exc) for prods in self._productions.values()
+            for exc in prods.values())
         self.stats["ms"] = round((time.perf_counter() - t0) * 1000, 1)
 
     @property
@@ -419,7 +429,7 @@ class Grammar:
         tasks = [(key, gen, j, send) for key, gen, j in targets
                  for send in sends]
         cases: dict = {}
-        # per task, the lengths of the lists its last run read, or None
+        # per task, the versions of the lists its last run read, or None
         # when that run added an exception
         seen: list = [None] * len(tasks)
         rounds = _Budget(_MAX_ROUNDS, "grammar closure round")
@@ -429,7 +439,8 @@ class Grammar:
             changed = False
             for i, (key, gen, j, (msg, received)) in enumerate(tasks):
                 if seen[i] is not None and all(
-                        len(self._list(r)) == n for r, n in seen[i].items()):
+                        self._list(r).version == n
+                        for r, n in seen[i].items()):
                     self.stats["tasks_skipped"] += 1
                     continue
                 self.stats["tasks_run"] += 1
@@ -443,7 +454,7 @@ class Grammar:
                 else:
                     added = self._refine(self._list(key), gen, j, got)
                 seen[i] = None if added else \
-                    {r: len(self._list(r)) for r in self._reads}
+                    {r: self._list(r).version for r in self._reads}
                 changed |= added
         self._reads = None
 
@@ -565,15 +576,31 @@ class Grammar:
                    for e, epath, emode in exceptions)
 
     def _except(self, exceptions, t, path, mode) -> bool:
-        """Add an exception, its variables renamed away from any state's."""
+        """Add an exception, its variables renamed away from any state's,
+        in place of the entries it covers."""
         if self._covered(exceptions, t, path, mode):
             return False
         self._renamed += 1
         tag = f"%E{self._renamed}"
-        exceptions.append((_apply({v: Var(f"{v.name}{tag}", v.sort)
-                                   for v in variables(t)}, t),
-                           path, mode))
+        e = _apply({v: Var(f"{v.name}{tag}", v.sort) for v in variables(t)}, t)
+        self._drop(exceptions, e, path, mode)
+        exceptions.append((e, path, mode))
+        exceptions.version += 1
         return True
+
+    def _drop(self, exceptions, e, path, mode) -> None:
+        """Remove from the list every entry that (e, path, mode) covers."""
+        kept = [(f, fpath, fmode) for f, fpath, fmode in exceptions
+                if not (_includes(path, mode, fpath, fmode) and
+                        self._matches(e, f))]
+        self.stats["exceptions_dropped"] += len(exceptions) - len(kept)
+        exceptions[:] = kept
+
+
+class _Exceptions(list):
+    """An exception list: (pattern, path, mode) entries, and the version
+    the closure's skip rule compares, bumped on every change."""
+    version = 0
 
 
 def _applies(epath, mode, path) -> bool:

@@ -548,12 +548,11 @@ def _levels(start: SymbolicState, spec: RuntimeSpec, mode: str, depth: int,
     for _ in range(depth):
         keys, nxt = set(), []
         for st in frontier:
-            for step in backward_successors(st, spec, mode, minter, memo=memo):
-                k = step.key if view is None else \
-                    state_key(view(step.predecessor))
-                keys.add(k)
-                if k not in seen:
-                    seen.add(k)
+            for step in backward_successors(st, spec, mode, minter,
+                                            memo=memo, view=view):
+                keys.add(step.key)
+                if step.key not in seen:
+                    seen.add(step.key)
                     nxt.append(step.predecessor)
         yield keys, nxt
         frontier = nxt

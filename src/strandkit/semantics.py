@@ -70,7 +70,7 @@ class BackwardStep:
     # with `in_order`, the messages the step demands anew, instantiated
     # and normalized
     demands: tuple = ()
-    # state_key(predecessor)
+    # state_key(predecessor), or of its view (see backward_successors)
     key: tuple = None
 
 
@@ -115,7 +115,8 @@ def backward_successors(state: SymbolicState, spec: RuntimeSpec, mode: str,
                         xor_splits: bool = False,
                         focus: Optional[int] = None,
                         uses: Optional[frozenset] = None,
-                        memo: Optional[Memo] = None) -> list:
+                        memo: Optional[Memo] = None,
+                        view=None) -> list:
     """All one-step predecessors of a symbolic state, as BackwardSteps.
 
     The result order is deterministic for a given state: strand order,
@@ -163,6 +164,10 @@ def backward_successors(state: SymbolicState, spec: RuntimeSpec, mode: str,
     clash with the fact before it instantiates the schema, and not again
     on the instance.  `memo` holds the unification memos of the search
     that asks.
+
+    Each step's `key` is the `state_key` of its predecessor, or of
+    `view(predecessor)` when a `view` is given, and steps of one rule
+    with equal keys are given once.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode}")
@@ -195,7 +200,7 @@ def backward_successors(state: SymbolicState, spec: RuntimeSpec, mode: str,
             if stats is not None:
                 stats["size_pruned"] = stats.get("size_pruned", 0) + 1
             return
-        pkey = state_key(pred)
+        pkey = state_key(pred if view is None else view(pred))
         key = (rule.split(":")[0], pkey)
         if key in seen_keys:
             return

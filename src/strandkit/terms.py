@@ -129,10 +129,11 @@ class App:
     kept; a closed node keeps only the first.  `_canon` and `_norm` keep
     its canonical and normal form under one theory (`theory.canon`,
     `theory.normalize`): the theory alone when the node is its own form,
-    else the pair (theory, form).  So a form lives as long as its node."""
+    else the pair (theory, form).  So a form lives as long as its node.
+    `_rigid` keeps the pair (theory, `theory.rigid(node, theory)`)."""
 
     __slots__ = ("op", "args", "sort", "closed", "_hash", "_key", "_skel",
-                 "_leaves", "_canon", "_norm", "__weakref__")
+                 "_leaves", "_canon", "_norm", "_rigid", "__weakref__")
 
     def __new__(cls, op: str, args: tuple = (), sort: str = MSG) -> "App":
         ident = (op, args, sort)
@@ -153,6 +154,7 @@ class App:
             init(node, "_leaves", None)
             init(node, "_canon", None)
             init(node, "_norm", None)
+            init(node, "_rigid", None)
             _interned[ident] = node
         return node
 

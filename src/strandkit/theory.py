@@ -435,11 +435,23 @@ def eq_modulo(t1: Term, t2: Term, th: EquationalTheory) -> bool:
 def rigid(t: Term, th: EquationalTheory, assumed=None) -> bool:
     """Every instance keeps t's root and its arguments' instances, so no
     rule rewrites it at the root.  `assumed` holds terms taken to be
-    irreducible in every instance."""
+    irreducible in every instance.  An answer without `assumed` is kept in
+    the node's `_rigid` slot as the pair (theory, answer)."""
     if isinstance(t, FreshConst):
         return True
     if isinstance(t, Var):
         return False
+    if assumed:
+        return _rigid(t, th, assumed)
+    got = t._rigid
+    if got is not None and got[0] is th:
+        return got[1]
+    out = _rigid(t, th, None)
+    object.__setattr__(t, "_rigid", (th, out))
+    return out
+
+
+def _rigid(t: App, th: EquationalTheory, assumed) -> bool:
     if is_ground(t) or (assumed and t in assumed):
         return True
     if t.op in th.nilpotent:

@@ -153,6 +153,12 @@ def test_criterion_03_hijack_backward_search(nsl_db):
     assert result.verdict == ATTACK_FOUND, result.stats
     assert result.stats["depth"] <= 17
     assert result.stats["states_enqueued"] <= 100_000
+    # the exact counts, so that a change to the reductions or to the
+    # grammar that moves them shows here
+    assert [result.stats[k] for k in (
+        "states_explored", "states_enqueued", "deduped", "subsumed",
+        "grammar_pruned", "order_pruned", "size_pruned")] == \
+        [1282, 1893, 3140, 55, 5595, 12882, 2037]
     assert trace_replay(result, spec, SYNC)
 
 

@@ -11,11 +11,19 @@ from dataclasses import replace
 
 import pytest
 
-from strandkit import unify
+from strandkit import search, unify
 from strandkit.dsl import attack_state, parse_document
-from strandkit.grammar import _ANY, Grammar
+from strandkit.grammar import (
+    _ANY,
+    EXACT,
+    OPEN,
+    Grammar,
+    _Exceptions,
+    _includes,
+)
 from strandkit.model import (
     KNOWN,
+    TO_LEARN,
     IntruderFact,
     Minter,
     SignedMessage,
@@ -46,6 +54,7 @@ from strandkit.semantics import (
 )
 from strandkit.terms import App, FreshConst, Var
 from strandkit.theory import StepBudgetExceeded, apart
+from strandkit.unify import match_modulo
 
 from test_cli import TINY
 
@@ -364,7 +373,9 @@ def test_grammar_closure_is_closed(monkeypatch, fname, attack, mode):
     def close_then_pass(self, sources):
         close(self, sources)
         memo, self._memo = self._memo, {}
-        before = _exception_count(self)
+        # a new entry can replace the ones it covers and leave a list's
+        # length as it was, so additions are counted, not entries
+        before = self._renamed
         for msg, received in sources:
             if self._sums_received(msg, received):
                 continue
@@ -376,7 +387,7 @@ def test_grammar_closure_is_closed(monkeypatch, fname, attack, mode):
             if self._xor:
                 self._refine_atoms(self._cases(msg, received, _ANY),
                                    received)
-        added.append(_exception_count(self) - before)
+        added.append(self._renamed - before)
         self._memo = memo
 
     monkeypatch.setattr(Grammar, "_close", close_then_pass)
@@ -386,6 +397,100 @@ def test_grammar_closure_is_closed(monkeypatch, fname, attack, mode):
     assert grammar._memo is None and grammar._reads is None
     assert grammar.stats["tasks_skipped"] > 0
     assert grammar.stats["exceptions"] > 0
+
+
+@pytest.mark.parametrize("fname,attack,mode", GRAMMAR_CASES)
+def test_grammar_exception_lists_are_minimal(fname, attack, mode):
+    # no entry is covered by another entry of its list: a pattern it is
+    # an instance of, on a superset of its paths
+    grammar = _build_grammar(fname, attack, mode)
+    lists = [grammar._atom_exceptions] + [
+        exceptions for prods in grammar._productions.values()
+        for exceptions in prods.values()]
+    for exceptions in lists:
+        for e, path, emode in exceptions:
+            for f, fpath, fmode in exceptions:
+                assert f is e or not (
+                    _includes(fpath, fmode, path, emode) and match_modulo(
+                        f, e, grammar.theory, grammar.leq)), (e, f)
+    assert grammar.stats["exceptions"] == _exception_count(grammar)
+
+
+def test_a_new_exception_replaces_those_it_covers():
+    grammar = _build_grammar("nsl.strand", "secrecy", BASIC)
+    grammar._memo = {}  # as while the grammar is built
+    sig = runtime_spec(load("nsl.strand"), BASIC).signature
+    A, X = Var("A", "Name"), Var("X")
+    a, b = sig.make("a"), sig.make("b")
+    exceptions = _Exceptions()
+    assert grammar._except(exceptions, sig.make("pk", a, X), (1,), EXACT)
+    assert grammar._except(exceptions, sig.make("pk", b, X), (0,), EXACT)
+    assert exceptions.version == 2
+    dropped = grammar.stats["exceptions_dropped"]
+    # more general, on (1,) and every extension of it: it replaces the
+    # first entry, so the list keeps its length but not its version
+    assert grammar._except(exceptions, sig.make("pk", A, X), (1,), OPEN)
+    assert [(path, mode) for _, path, mode in exceptions] == \
+        [((0,), EXACT), ((1,), OPEN)]
+    assert isinstance(exceptions[1][0].args[0], Var)
+    assert exceptions.version == 3
+    assert grammar.stats["exceptions_dropped"] == dropped + 1
+    # and covers what it replaced
+    assert not grammar._except(exceptions, sig.make("pk", a, X), (1, 0),
+                               EXACT)
+    assert exceptions.version == 3
+
+
+# the depth-4 searches of the benchmark's `hijack` and `secrecy` queries,
+# with their exact counts
+BENCH_QUERIES = {
+    "hijack": ("nsl_db.strand", "a1", SYNC, [9, 17, 0, 1, 28, 13, 0]),
+    "secrecy": ("nsl.strand", "secrecy", BASIC,
+                [23, 52, 31, 0, 57, 66, 23]),
+}
+COUNTS = ("states_explored", "states_enqueued", "deduped", "subsumed",
+          "grammar_pruned", "order_pruned", "size_pruned")
+
+
+def _checked_search(monkeypatch, fname, attack, mode):
+    """The exact counts of a depth-4 search, the states it checked for
+    membership and the grammar it checked them with."""
+    doc = load(fname)
+    spec = runtime_spec(doc, mode)
+    checked, grammars = [], set()
+
+    def recorded(state, grammar):
+        checked.append(state)
+        grammars.add(grammar)
+        return unlearnable(state, grammar)
+
+    monkeypatch.setattr(search, "unlearnable", recorded)
+    result = reachability_search(attack_state(doc, attack, spec, Minter()),
+                                 spec, mode, SearchBudget(max_depth=4))
+    [grammar] = grammars
+    return [result.stats[k] for k in COUNTS], checked, grammar
+
+
+@pytest.mark.parametrize("query", sorted(BENCH_QUERIES))
+def test_minimal_exception_lists_change_no_answer(monkeypatch, query):
+    # the same search with entries never dropped: the same counts, and the
+    # same membership answers on every state either search checked
+    fname, attack, mode, pinned = BENCH_QUERIES[query]
+    with monkeypatch.context() as m:
+        m.setattr(Grammar, "_drop", lambda self, *args: None)
+        full_counts, states, full = _checked_search(m, fname, attack, mode)
+    counts, more, minimal = _checked_search(monkeypatch, fname, attack, mode)
+    assert counts == full_counts == pinned
+    assert full.stats["exceptions_dropped"] == 0
+    assert minimal.stats["exceptions"] < full.stats["exceptions"]
+    for state in states + more:
+        assert unlearnable(state, minimal) == unlearnable(state, full)
+        base = frozenset(f.payload for f in state.facts
+                         if f.kind == TO_LEARN)
+        for t in [f.payload for f in state.facts if f.kind == KNOWN] + [
+                it.payload for s in state.strands for it in s.items[:s.bar]
+                if isinstance(it, SignedMessage) and it.polarity == "-"]:
+            assert minimal.member(t, base) == full.member(t, base), t
 
 
 def test_grammar_closure_round_budget_raises(monkeypatch):

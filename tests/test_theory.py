@@ -13,6 +13,7 @@ from strandkit.theory import (
     eq_modulo,
     match_ax,
     normalize,
+    rigid,
 )
 
 ZERO = const("zero", "Msg")
@@ -108,6 +109,22 @@ def test_one_node_keeps_a_form_per_theory(xor_theory, first):
         for theory, answer in pairs + pairs:
             assert form(t, theory) is answer
             assert form(t, theory) is answer  # now read from the node
+
+
+@pytest.mark.parametrize("first", ["rules", "bare"])
+def test_one_node_keeps_its_rigidity_per_theory(first):
+    """`rigid` keeps its answer on the node, tagged by theory; an answer
+    under assumed terms is neither read from the node nor kept on it."""
+    K, M, X = Var("K"), Var("M"), Var("X")
+    dec = lambda key, x: App("d", (key, x))
+    ed_theory = EquationalTheory(rules=((dec(K, App("e", (K, M))), M),))
+    t = dec(X, X)  # nothing at the second argument blocks the rule
+    pairs = [(ed_theory, False), (EquationalTheory(), True)]
+    if first == "bare":
+        pairs.reverse()
+    for theory, answer in pairs + pairs:
+        assert rigid(t, theory) is answer
+        assert rigid(t, ed_theory, {t}) is True
 
 
 def test_forms_die_with_their_nodes(xor_theory, cancel_theory):
