@@ -760,11 +760,10 @@ def validate_composition(doc: Document) -> list:
             continue
         # at least one matcher must make the child's inputs an instance
         # of what the parent provides
-        from .terms import rename_all
+        from .terms import rename_all, tup
 
-        out_t = App("%tup", tuple(out_item.payload), MSG)
-        in_t = App("%tup", tuple(in_item.payload), MSG)
-        in_t, _ = rename_all(in_t, "c")
+        out_t = tup(out_item.payload)
+        in_t, _ = rename_all(tup(in_item.payload), "c")
         if not unify_modulo(out_t, in_t, th, sig.leq, memo):
             diag("E026", f"{parent} -> {child}: no parameter matcher exists")
     for side, idx in (("parent", 0), ("child", 1)):

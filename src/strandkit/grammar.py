@@ -67,6 +67,7 @@ from .terms import (
     _apply,
     is_ground,
     term_key,
+    tup,
     variables,
 )
 from .theory import _Budget, canon, normalize, rigid
@@ -171,7 +172,7 @@ class Grammar:
                 or any(self._open_sum(t) for t in parts):
             return False  # nothing to split on, or too costly to split
         k, r = len(known), len(received)
-        for v, _ in side_variants(_tup(parts), self.theory, self.memo):
+        for v, _ in side_variants(tup(parts), self.theory, self.memo):
             if not (isinstance(v, App) and v.op == "%tup"):
                 return False
             assumed: set = set()
@@ -252,8 +253,8 @@ class Grammar:
                 else:
                     continue  # no continuation in both
                 dom = sorted(set(a) | set(b), key=term_key)
-                us = unify_modulo(_tup([a(v) for v in dom]),
-                                  _tup([b(v) for v in dom]),
+                us = unify_modulo(tup([a(v) for v in dom]),
+                                  tup([b(v) for v in dom]),
                                   self.theory, self.leq, self.memo)
                 out += [(Subst({v: sg(a(v)) for v in dom}, _trusted=True),
                          rest) for sg in us]
@@ -402,10 +403,10 @@ class Grammar:
             if not _interface(mode, last, "out") or \
                     len(last.payload) != len(head.payload):
                 return [schema.items]
-            given = _tup(last.payload)
+            given = tup(last.payload)
             given = _apply({v: Var(f"{v.name}%P", v.sort)
                             for v in variables(given)}, given)
-            for sg in unify_modulo(given, _tup(head.payload), self.theory,
+            for sg in unify_modulo(given, tup(head.payload), self.theory,
                                    self.leq, self.memo):
                 out.append(tuple(map_item(it, lambda t, sg=sg:
                                           normalize(sg(t), self.theory))
@@ -617,10 +618,6 @@ def _includes(epath, emode, path, mode) -> bool:
     if emode == EXACT or path[:len(epath)] != epath:
         return False
     return emode == OPEN or mode == BELOW or path != epath
-
-
-def _tup(terms) -> App:
-    return App("%tup", tuple(terms), "Msg")
 
 
 def _subterms(t, out: set) -> None:

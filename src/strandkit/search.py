@@ -35,8 +35,8 @@ from .semantics import (
     backward_successors,
     trans_inv,
 )
-from .terms import FRESH, App, FreshConst, Var, _apply, fresh_constants, \
-    is_ground, term_key, term_size, variables
+from .terms import FRESH, App, FreshConst, Subst, Var, _apply, \
+    fresh_constants, is_ground, term_key, term_size, variables
 from .theory import apart, canon, canonical_leaf, match_ax, normalize, \
     rigid
 from .unify import Memo, match_modulo
@@ -210,9 +210,12 @@ def _state_instance_of(cand: SymbolicState, gen, th, match,
     extensions of a binding (a dict from variables to terms) under which
     pattern matches subject.  Both sides it gets are canonical.
 
-    A True answer is always correct; a False answer may miss an instance
-    where the term matcher is incomplete (hard AC matching).  Dropping an
-    instance of an explored state preserves every verdict: each backward
+    A variable that the matcher leaves free in a sum's solution stays a
+    parameter: the sums of later places take it as a constant, and a
+    later free argument may still bind it, so every binding found holds
+    once read through.  A True answer is always correct; a False answer
+    may miss an instance where the exclusive-or solver under the term
+    matcher is incomplete.  Dropping an instance of an explored state preserves every verdict: each backward
     step from the instance lifts to a step from the more general state,
     and a reachable initial state lifts to one at least as general, which
     is still initial.  Extra facts only make a state harder to reach.
@@ -236,6 +239,9 @@ def _state_instance_of(cand: SymbolicState, gen, th, match,
     cand_diseqs = {_diseq_key(l, r, th) for (l, r) in cand.diseqs}
 
     def diseqs_hold(b) -> bool:
+        # read b through: a variable that a sum's matcher leaves free in
+        # one image may be bound by a later place
+        b = Subst(b)
         for pair in pat.diseqs:
             l, r = (normalize(_apply(b, t), th) for t in pair)
             if _diseq_key(l, r, th) not in cand_diseqs and not (

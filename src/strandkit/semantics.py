@@ -38,8 +38,8 @@ from .model import (
     state_key,
     sync_point,
 )
-from .terms import App, FRESH, IDENTITY, MSG, Signature, Subst, Term, \
-    _apply, is_ground, term_size
+from .terms import App, FRESH, IDENTITY, Signature, Subst, Term, _apply, \
+    is_ground, term_size, tup
 from .terms import Var as VarType
 from .theory import EquationalTheory, apart, eq_modulo, normalize
 from .unify import Memo, match_modulo, unify_modulo
@@ -72,10 +72,6 @@ class BackwardStep:
     demands: tuple = ()
     # state_key(predecessor), or of its view (see backward_successors)
     key: tuple = None
-
-
-def _tup(terms: tuple) -> App:
-    return App("%tup", tuple(terms), MSG)
 
 
 def _retract(state: SymbolicState, si: int) -> SymbolicState:
@@ -412,12 +408,12 @@ def _compose_rules(state, spec, mode, ci, emit, minter, memo):
         if not modes:
             continue
         if p.bar == len(p.items):
-            for sg in unify_modulo(_tup(last.payload), _tup(head.payload),
+            for sg in unify_modulo(tup(last.payload), tup(head.payload),
                                    th, leq, memo):
                 emit(rules.compose, sg,
                      _with_bars(state, {pi: len(p.items) - 1, ci: 0}))
         if MODE_ONE_MANY in modes and p.bar == len(p.items) - 1:
-            for sg in unify_modulo(_tup(last.payload), _tup(head.payload),
+            for sg in unify_modulo(tup(last.payload), tup(head.payload),
                                    th, leq, memo):
                 emit(rules.one_many, sg, _with_bars(state, {ci: 0}))
     for a in _parent_roles(spec, mode, c.role, head):
@@ -426,8 +422,8 @@ def _compose_rules(state, spec, mode, ci, emit, minter, memo):
                 not _handover(spec, mode, a, schema.items[-1], c.role, head):
             continue
         inst = instantiate(schema, minter, bar=len(schema.items) - 1)
-        for sg in unify_modulo(_tup(inst.items[-1].payload),
-                               _tup(head.payload), th, leq, memo):
+        for sg in unify_modulo(tup(inst.items[-1].payload),
+                               tup(head.payload), th, leq, memo):
             emit(f"{rules.new_parent}:{a}", sg,
                  _with_bars(_add_strand(state, inst), {ci: 0}))
 

@@ -191,6 +191,11 @@ def const(name: str, sort: str = MSG) -> App:
     return App(name, (), sort)
 
 
+def tup(terms) -> App:
+    """The terms as one term under the free tuple operator %tup."""
+    return App("%tup", tuple(terms), MSG)
+
+
 def least_sort(t: Term) -> str:
     return t.sort
 
@@ -493,8 +498,8 @@ IDENTITY = Subst()
 def _apply(m: Mapping, t):
     """t with the map m applied; m maps variables, and fresh constants, to
     terms.  A binding to another bound variable is followed, as the
-    triangular maps of `unify._solve` need; a variable bound to itself, as
-    `theory.match_ax` leaves a free one, stays as it is."""
+    triangular maps of `theory._solve` need; a variable bound to itself
+    stays as it is."""
     if not m:
         return t
     if isinstance(t, App):

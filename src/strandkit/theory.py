@@ -5,12 +5,17 @@ associative, commutative and nilpotent with a unit.  `canon` compiles it
 away, flattening and sorting each sum's argument list, removing the unit
 and cancelling equal pairs.  Every other operator is free.  The oriented
 rules are applied by `normalize` modulo those canonical forms.
+
+The one exclusive-or solver, `_solve`, lives here as well: `unify` poses
+its unification problems to it, and `match_ax` its matching problems,
+since matching is unification in which the subject's variables act as
+constants.  Its branch search is bounded by BRANCH_BUDGET per problem.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import count, permutations
+from itertools import count
 from typing import Iterator, Optional, Sequence
 
 from .terms import (
@@ -21,6 +26,7 @@ from .terms import (
     Var,
     _apply,
     is_ground,
+    least_sort,
     term_key,
     variables,
 )
@@ -93,7 +99,7 @@ class EquationalTheory:
         apart from any subject term, for matching.  `blocking` holds the
         (position, head) pairs of lhs's arguments that are applications
         with a head that is not nilpotent: an argument that keeps another
-        head never matches there (a sum matches any term, `absorber`).
+        head never matches there (a sum may match a term of any head).
 
         Two canonical applications with different heads unify only when
         one head is nilpotent.  So `index[op]` holds the rules whose
@@ -216,15 +222,15 @@ def ac_atoms(t: Term, op: str, th: EquationalTheory) -> list:
     return [t]
 
 
-def absorber(atoms: list, rest: list, op: str, sort: str,
-             th: EquationalTheory, leq) -> Optional[tuple]:
-    """(v, s) for the first variable v among `atoms` that occurs in no other
-    atom and may take, under `leq`, the sum s of the others and of `rest`:
-    v -> s most generally makes the sum of both lists the unit; or None."""
+def absorber(atoms: list, op: str, sort: str, th: EquationalTheory, leq,
+             frozen) -> Optional[tuple]:
+    """(v, s) for the first variable v among `atoms`, outside `frozen`, that
+    occurs in no other atom and may take, under `leq`, the sum s of the
+    others: v -> s most generally makes the sum the unit; or None."""
     for i, v in enumerate(atoms):
-        if isinstance(v, Var):
-            s = ac_combine(atoms[:i] + atoms[i + 1:] + rest, op, th, sort)
-            if v not in variables(s) and (leq is None or leq(s.sort, v.sort)):
+        if isinstance(v, Var) and v not in frozen:
+            s = ac_combine(atoms[:i] + atoms[i + 1:], op, th, sort)
+            if v not in variables(s) and leq(s.sort, v.sort):
                 return v, s
     return None
 
@@ -244,106 +250,54 @@ def match_ax(pattern: Term, subject: Term, th: EquationalTheory,
 
     Yields extensions of the given binding (dicts from Var to Term).  Both
     sides must be canonical, and the pattern's variables apart from the
-    subject's.  Free operators match argument by argument, sums last, so
-    that their variables are bound by then.  A sum is matched by
-    `_match_nilpotent`, which may lose matchers.
+    subject's.  Free operators match argument by argument.  Each sum met
+    is put off, and at the end the sums are solved together, with the
+    binding applied, by the unifier's own solver (`_solve`), which must
+    not bind the variables of the subject or of the binding's images.
+    So a variable that occurs both inside and outside a sum is bound by
+    the free part first.  A matcher may leave a variable of a sum free:
+    M * N matches a with M -> N * a.
     With a subsort test `leq`, a variable binds only a subject whose sort
-    is below its own.
+    is below its own; without one, the sums are solved under `_solve`'s
+    default order.
     """
-    if binding is None:
-        binding = {}
-    if isinstance(pattern, Var):
-        if pattern in binding:
-            if binding[pattern] == subject:
-                yield binding
-            return
-        if leq is None or leq(subject.sort, pattern.sort):
-            yield {**binding, pattern: subject}
+    sums: list = []
+    b = _match_free(pattern, subject, th, dict(binding or ()), leq, sums)
+    if b is None:
         return
-    if isinstance(pattern, FreshConst):
-        if pattern == subject:
-            yield binding
+    if not sums:
+        yield b
         return
-    nil = th.nilpotent
-    if pattern.op in nil:
-        yield from _match_nilpotent(pattern, subject, th, binding, leq)
-        return
-    if not isinstance(subject, App) or subject.op != pattern.op or \
-            len(pattern.args) != len(subject.args):
-        return
-    pats, subjs = pattern.args, subject.args
-    if nil:
-        last = [isinstance(p, App) and p.op in nil for p in pats]
-        if any(last):
-            idx = sorted(range(len(pats)), key=last.__getitem__)
-            pats = [pats[i] for i in idx]
-            subjs = [subjs[i] for i in idx]
-    yield from _match_seq(pats, subjs, th, binding, leq)
+    frozen = variables(subject).union(*map(variables, b.values()))
+    yield from _solve(sums, b, th, _Budget(BRANCH_BUDGET,
+                                           "unification branch"),
+                      leq, frozen)
 
 
-def _match_nilpotent(pattern: App, subject: Term, th: EquationalTheory,
-                     binding: dict, leq) -> Iterator[dict]:
-    """Match a sum under a nilpotent operator.  The pattern arguments whose
-    variables the binding fixes are added to the subject, which cancels
-    them.  An `absorber` of the leftovers takes the rest, and the others'
-    variables are bound to themselves, fixed for later matches.  Without
-    one, the leftovers are matched as under plain AC, where none cancel.
-    Either may lose matchers."""
-    op, sort = pattern.op, pattern.sort
-    fixed, free = [], []
-    for a in pattern.args:
-        (fixed if variables(a) <= binding.keys() else free).append(a)
-    rest = sym_diff([x for t in [subject] + [_apply(binding, a) for a in fixed]
-                     for x in ac_atoms(t, op, th)])
-    got = absorber(free, rest, op, sort, th, leq)
-    if got is None:
-        yield from _match_ac(free, rest, op, sort, th, binding, leq)
-        return
-    v, image = got
-    pinned = {u: u for a in free for u in variables(a)
-              if u != v and u not in binding}
-    yield {**binding, v: image, **pinned}
-
-
-def _match_seq(pats, subjs, th, binding, leq) -> Iterator[dict]:
-    if not pats:
-        yield binding
-        return
-    for b in match_ax(pats[0], subjs[0], th, binding, leq):
-        yield from _match_seq(pats[1:], subjs[1:], th, b, leq)
-
-
-def _match_ac(pats, subjs, op, sort, th, binding, leq) -> Iterator[dict]:
-    """Match the pattern atoms against the subject atoms of a sum as if
-    none cancelled: `_match_nilpotent`'s fallback.  Equal counts match by
-    permutation; with fewer pattern atoms, the first variable among them
-    absorbs the leftover subject atoms."""
-    if len(pats) > len(subjs):
-        return
-    if len(pats) == len(subjs):
-        seen = set()
-        for perm in permutations(range(len(subjs))):
-            for b in _match_seq(pats, [subjs[i] for i in perm], th, binding,
-                                leq):
-                key = frozenset(b.items())
-                if key not in seen:
-                    seen.add(key)
-                    yield b
-        return
-    # Fewer pattern arguments: let one variable argument absorb the rest.
-    for vi, pv in enumerate(pats):
-        if not isinstance(pv, Var):
-            continue
-        rest_pats = pats[:vi] + pats[vi + 1 :]
-        n_rest = len(rest_pats)
-        for chosen in permutations(range(len(subjs)), n_rest):
-            chosen_set = set(chosen)
-            leftover = [subjs[i] for i in range(len(subjs)) if i not in chosen_set]
-            absorbed = ac_combine(leftover, op, th, sort)
-            for b0 in match_ax(pv, absorbed, th, binding, leq):
-                yield from _match_seq(rest_pats, [subjs[i] for i in chosen], th,
-                                      b0, leq)
-        return  # one absorber is enough for the rule shapes in scope
+def _match_free(p: Term, s: Term, th: EquationalTheory, b: dict, leq,
+                sums: list) -> Optional[dict]:
+    """`match_ax` outside sums: b extended in place so that p matches s,
+    with each (sum, subject) pair met appended to `sums`; or None.  No
+    sum left, the matcher is unique."""
+    if isinstance(p, Var):
+        got = b.get(p)
+        if got is None:
+            if leq is not None and not leq(s.sort, p.sort):
+                return None
+            b[p] = s
+            return b
+        return b if got == s else None
+    if isinstance(p, FreshConst):
+        return b if p == s else None
+    if p.op in th.nilpotent:
+        sums.append((p, s))
+        return b
+    if not isinstance(s, App) or s.op != p.op or len(p.args) != len(s.args):
+        return None
+    for pa, sa in zip(p.args, s.args):
+        if _match_free(pa, sa, th, b, leq, sums) is None:
+            return None
+    return b
 
 
 class _Budget:
@@ -359,6 +313,117 @@ class _Budget:
         if self.left <= 0:
             raise StepBudgetExceeded(f"{self.what} budget exhausted")
         self.left -= 1
+
+
+# branches one unification or matching problem may take; under plain
+# exclusive-or, pairing the alien atoms of f(X0) * ... * f(X3) =?
+# f(a0) * ... * f(a3) runs past it
+BRANCH_BUDGET = 512
+
+
+def _bind(v: Var, t: Term, subst: dict, th: EquationalTheory) -> Optional[dict]:
+    t = canon(_apply(subst, t), th)
+    if isinstance(t, Var) and t == v:
+        return subst
+    if v in variables(t):
+        return None
+    new = {v: t}
+    return {**{w: canon(_apply(new, u), th) for w, u in subst.items()}, v: t}
+
+
+def _default_leq(s1: str, s2: str) -> bool:
+    return s1 == s2 or s2 == "Msg"
+
+
+def _solve(eqns: list, subst: dict, th: EquationalTheory, budget: _Budget,
+           leq=None, frozen=frozenset()) -> list:
+    """DFS over unification branches; returns solved substitution dicts.
+    Free operators decompose argument by argument; a problem with a sum on
+    either side goes to the exclusive-or solver `_solve_atoms`.  The
+    variables in `frozen` act as constants: matching freezes the
+    subject's, unification none."""
+    if leq is None:
+        leq = _default_leq
+    budget.spend()
+    if not eqns:
+        return [subst]
+    (a, b), rest = eqns[0], eqns[1:]
+    a = canon(_apply(subst, a), th)
+    b = canon(_apply(subst, b), th)
+    if a == b:
+        return _solve(rest, subst, th, budget, leq, frozen)
+    # Variable cases
+    for x, y in ((a, b), (b, a)):
+        if isinstance(x, Var) and x not in frozen:
+            if leq(least_sort(y), x.sort):
+                s2 = _bind(x, y, subst, th)
+            elif isinstance(y, Var) and y not in frozen and \
+                    leq(x.sort, y.sort):
+                s2 = _bind(y, x, subst, th)
+            else:
+                s2 = None
+            return [] if s2 is None else \
+                _solve(rest, s2, th, budget, leq, frozen)
+    # Sums take the sort of the side that is one, whichever side of the
+    # problem that is.
+    nil = a if isinstance(a, App) and a.op in th.nilpotent else \
+        b if isinstance(b, App) and b.op in th.nilpotent else None
+    if nil is not None:
+        # each candidate is a list of (left, right) constraints; a Var on
+        # the left proposes a binding, anything else is a residual equation
+        atoms = sym_diff(ac_atoms(a, nil.op, th) + ac_atoms(b, nil.op, th))
+        out: list = []
+        for partial in _solve_atoms(atoms, nil.sort, nil.op, th, budget,
+                                    leq, frozen):
+            s2, new_eqns = subst, []
+            for v, t in partial:
+                if not isinstance(v, Var):
+                    new_eqns.append((v, t))
+                    continue
+                s2 = _bind(v, t, s2, th) \
+                    if leq(least_sort(t), v.sort) else None
+                if s2 is None:
+                    break
+            else:
+                out.extend(_solve(new_eqns + rest, s2, th, budget, leq,
+                                  frozen))
+        return out
+    # unequal fresh constants or frozen variables, or a clash of symbols
+    if not (isinstance(a, App) and isinstance(b, App)) or a.op != b.op or \
+            len(a.args) != len(b.args):
+        return []
+    return _solve(list(zip(a.args, b.args)) + rest, subst, th, budget, leq,
+                  frozen)
+
+
+def _solve_atoms(atoms: list, sort: str, op: str, th: EquationalTheory,
+                 budget: _Budget, leq, frozen) -> list:
+    if not atoms:
+        return [[]]
+    # A top-level variable not occurring elsewhere has a unique most general
+    # solution in the Boolean group: bind it to the sum of the rest.
+    got = absorber(atoms, op, sort, th, leq, frozen)
+    if got is not None:
+        return [[got]]
+    # Otherwise alien atoms must cancel pairwise.
+    if len(atoms) % 2 == 1:
+        return []
+    budget.spend()
+    out = []
+    a0, tail = atoms[0], atoms[1:]
+    seen_partner = set()
+    for j, aj in enumerate(tail):
+        if aj in seen_partner:
+            continue
+        seen_partner.add(aj)
+        for s in _solve([(a0, aj)], {}, th, budget, leq, frozen):
+            remaining = [_apply(s, t) for k, t in enumerate(tail) if k != j]
+            remaining = sym_diff(
+                [x for t in remaining for x in ac_atoms(t, op, th)])
+            for rest_sol in _solve_atoms(remaining, sort, op, th, budget,
+                                         leq, frozen):
+                out.append([(v, t) for v, t in s.items()] + rest_sol)
+    return out
 
 
 def normalize(t: Term, th: EquationalTheory) -> Term:

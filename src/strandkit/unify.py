@@ -5,16 +5,16 @@ the oriented rules until no new variant appears, once per search and up
 to renaming (`side_variants`, memoized in the search's `Memo`), then
 unify every pair of variants modulo exclusive-or, together with the
 images of the variables the sides share.
-Free operators decompose; exclusive-or subproblems go to a dedicated
-nilpotent-AC solver, `_solve_atoms`, the only axiom solver.  Its branch
-search is bounded by BRANCH_BUDGET per problem and raises
+Each pair goes to `unify_canonical`, which calls the theory's
+exclusive-or solver (`theory._solve`), the one solver of sums.  Its
+branch search is bounded by BRANCH_BUDGET per problem and raises
 StepBudgetExceeded when that runs out, as the rewrite and variant budgets
 do, so an answer is never a set cut short.  Every candidate is verified
 by substitute, normalize and compare before it is reported, so soundness
 never depends on the solver internals.  Matching modulo the theory
-(`match_modulo`) runs `theory.match_ax` on the variants of the pattern
-alone, and unifies with the target's variables frozen where that finds
-no matcher of a sum.
+(`match_modulo`) runs `theory.match_ax`, which solves sums with the same
+solver and the target's variables frozen, on the variants of the
+pattern alone.
 
 A problem is answered, in this order, by a clash of symbols that every
 instance keeps (`theory.apart`: no answer, and nothing renamed), by the
@@ -35,135 +35,29 @@ from .terms import (
     Term,
     Var,
     _apply,
-    least_sort,
     term_key,
+    tup,
     variables,
 )
 from .theory import (
+    BRANCH_BUDGET,
     EquationalTheory,
     _Budget,
-    absorber,
+    _default_leq,
+    _solve,
     apart,
-    ac_atoms,
     canon,
     canonical_leaf,
     eq_modulo,
     match_ax,
     normalize,
-    sym_diff,
 )
-
-# branches one unification problem may take; under plain exclusive-or,
-# pairing the alien atoms of f(X0) * ... * f(X3) =? f(a0) * ... * f(a3)
-# runs past it
-BRANCH_BUDGET = 512
-
-
-def _bind(v: Var, t: Term, subst: dict, th: EquationalTheory) -> Optional[dict]:
-    t = canon(_apply(subst, t), th)
-    if isinstance(t, Var) and t == v:
-        return subst
-    if v in variables(t):
-        return None
-    new = {v: t}
-    return {**{w: canon(_apply(new, u), th) for w, u in subst.items()}, v: t}
-
-
-def _solve(eqns: list, subst: dict, th: EquationalTheory, budget: _Budget,
-           leq=None) -> list:
-    """DFS over unification branches; returns solved substitution dicts.
-    Free operators decompose argument by argument; a problem with a sum on
-    either side goes to the exclusive-or solver `_solve_atoms`."""
-    if leq is None:
-        leq = _default_leq
-    budget.spend()
-    if not eqns:
-        return [subst]
-    (a, b), rest = eqns[0], eqns[1:]
-    a = canon(_apply(subst, a), th)
-    b = canon(_apply(subst, b), th)
-    if a == b:
-        return _solve(rest, subst, th, budget, leq)
-    # Variable cases
-    for x, y in ((a, b), (b, a)):
-        if isinstance(x, Var):
-            if isinstance(y, Var):
-                if leq(y.sort, x.sort):
-                    s2 = _bind(x, y, subst, th)
-                elif leq(x.sort, y.sort):
-                    s2 = _bind(y, x, subst, th)
-                else:
-                    s2 = None
-            elif leq(least_sort(y), x.sort):
-                s2 = _bind(x, y, subst, th)
-            else:
-                s2 = None
-            return [] if s2 is None else _solve(rest, s2, th, budget, leq)
-    if isinstance(a, FreshConst) or isinstance(b, FreshConst):
-        return []  # unequal fresh constants (or constant vs application)
-    # Both are applications.  Sums take the sort of the side that is one,
-    # whichever side of the problem that is.
-    nil = a if a.op in th.nilpotent else b if b.op in th.nilpotent else None
-    if nil is not None:
-        # each candidate is a list of (left, right) constraints; a Var on
-        # the left proposes a binding, anything else is a residual equation
-        atoms = sym_diff(ac_atoms(a, nil.op, th) + ac_atoms(b, nil.op, th))
-        out: list = []
-        for partial in _solve_atoms(atoms, nil.sort, nil.op, th, budget,
-                                    leq):
-            s2, new_eqns = subst, []
-            for v, t in partial:
-                if not isinstance(v, Var):
-                    new_eqns.append((v, t))
-                    continue
-                s2 = _bind(v, t, s2, th) \
-                    if leq(least_sort(t), v.sort) else None
-                if s2 is None:
-                    break
-            else:
-                out.extend(_solve(new_eqns + rest, s2, th, budget, leq))
-        return out
-    if a.op != b.op or len(a.args) != len(b.args):
-        return []
-    return _solve(list(zip(a.args, b.args)) + rest, subst, th, budget, leq)
-
-
-def _default_leq(s1: str, s2: str) -> bool:
-    return s1 == s2 or s2 == "Msg"
-
-
-def _solve_atoms(atoms: list, sort: str, op: str, th: EquationalTheory,
-                 budget: _Budget, leq) -> list:
-    if not atoms:
-        return [[]]
-    # A top-level variable not occurring elsewhere has a unique most general
-    # solution in the Boolean group: bind it to the sum of the rest.
-    got = absorber(atoms, [], op, sort, th, leq)
-    if got is not None:
-        return [[got]]
-    # Otherwise alien atoms must cancel pairwise.
-    if len(atoms) % 2 == 1:
-        return []
-    budget.spend()
-    out = []
-    a0, tail = atoms[0], atoms[1:]
-    seen_partner = set()
-    for j, aj in enumerate(tail):
-        if aj in seen_partner:
-            continue
-        seen_partner.add(aj)
-        for s in _solve([(a0, aj)], {}, th, budget, leq=leq):
-            remaining = [_apply(s, t) for k, t in enumerate(tail) if k != j]
-            remaining = sym_diff(
-                [x for t in remaining for x in ac_atoms(t, op, th)])
-            for rest_sol in _solve_atoms(remaining, sort, op, th, budget, leq):
-                out.append([(v, t) for v, t in s.items()] + rest_sol)
-    return out
 
 
 def unify_canonical(t1: Term, t2: Term, th: EquationalTheory,
                     leq=None, budget: Optional[_Budget] = None) -> list:
-    """Unifiers modulo structural axioms only (no rule narrowing)."""
+    """Unifiers modulo structural axioms only (no rule narrowing): the
+    theory's solver with no variable frozen."""
     if budget is None:
         budget = _Budget(BRANCH_BUDGET, "unification branch")
     out = []
@@ -414,7 +308,7 @@ def _unify_modulo_raw(t1: Term, t2: Term, th: EquationalTheory,
     def goal(u, sigma):
         if not shared:
             return u
-        return App("%tup", (u,) + tuple(sigma(x) for x in shared), "Msg")
+        return tup((u, *(sigma(x) for x in shared)))
 
     budget = _Budget(BRANCH_BUDGET, "unification branch")
     found = []
@@ -472,8 +366,8 @@ def _is_instance_of(general: Subst, specific: Subst, problem_vars: set,
                     th: EquationalTheory) -> bool:
     """True if specific = general . rho (modulo axioms) on the problem vars."""
     pvs = sorted(problem_vars, key=term_key)
-    gen = App("%tup", tuple(normalize(general(v), th) for v in pvs), "Msg")
-    spe = App("%tup", tuple(normalize(specific(v), th) for v in pvs), "Msg")
+    gen = tup(normalize(general(v), th) for v in pvs)
+    spe = tup(normalize(specific(v), th) for v in pvs)
     # a match may bind nothing, so count matches, not their truth
     return any(True for _ in match_ax(_apart(gen, th)[0], spe, th,
                                       leq=_default_leq))
@@ -502,8 +396,8 @@ def match_modulo(pattern: Term, target: Term, th: EquationalTheory,
     bound = sorted(variables(pattern) & binding.keys(), key=term_key) \
         if binding else ()
     if bound:
-        pattern = App("%tup", (pattern, *bound), "Msg")
-        target = App("%tup", (target, *(binding[v] for v in bound)), "Msg")
+        pattern = tup((pattern, *bound))
+        target = tup((target, *(binding[v] for v in bound)))
     got = _memoized(_match_modulo_raw, pattern, target, th, leq, memo)
     if not binding:
         return got
@@ -514,42 +408,16 @@ def _match_modulo_raw(pattern: Term, target: Term, th: EquationalTheory,
                       leq, memo: Optional[Memo] = None) -> tuple:
     """Match each variant of the pattern (`side_variants`), renamed apart
     from the target, against the target's normal form (`theory.match_ax`);
-    keep the matchers that normalize and compare equal.  Where `match_ax`
-    finds none for a variant with a sum, which it may lose, unify instead
-    (`_match_by_unifying`): an empty answer means there is no matcher."""
+    keep the matchers that normalize and compare equal."""
     pat, back = _apart(pattern, th)
     subject = normalize(target, th)
     fixed = back.keys() | variables(subject)  # others come from narrowing
-    out, sums = [], False
+    out = []
     for u, sigma in side_variants(pat, th, memo):
-        sums = sums or _has_sum(u, th)
         for b in match_ax(canon(u, th), subject, th, leq=leq):
             cand = _deflate(Subst({x: normalize(_apply(b, sigma(x)), th)
                                    for x in back}, _trusted=True), fixed)
             if normalize(cand(pat), th) == subject:
                 out.append(Subst({back[x]: _apply(back, t)
                                   for x, t in cand.items()}, _trusted=True))
-    if not out and sums:
-        out = _match_by_unifying(pattern, subject, th, leq, memo)
     return tuple(sorted(_distinct(out), key=_subst_key))
-
-
-def _has_sum(t: Term, th: EquationalTheory) -> bool:
-    return isinstance(t, App) and not t.closed and (
-        t.op in th.nilpotent or any(_has_sum(a, th) for a in t.args))
-
-
-def _match_by_unifying(pattern: Term, subject: Term, th: EquationalTheory,
-                       leq, memo: Optional[Memo] = None) -> list:
-    """The unifiers of pattern and the normal form subject, whose variables
-    are frozen to constants of their sorts that no unifier binds, thawed."""
-    frozen = {v: App(f"%frozen:{v.name}", (), v.sort)
-              for v in variables(subject)}
-    thaw = {c: v for v, c in frozen.items()}
-    def thawed(t):
-        return thaw.get(t) or App(t.op, tuple(map(thawed, t.args)), t.sort) \
-            if isinstance(t, App) else t
-    return [Subst({x: normalize(thawed(t), th) for x, t in s.items()},
-                  _trusted=True)
-            for s in unify_modulo(pattern, _apply(frozen, subject), th, leq,
-                                  memo)]

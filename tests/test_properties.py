@@ -7,7 +7,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from strandkit.dsl import attack_state, parse_document
@@ -39,7 +39,8 @@ from strandkit.terms import (
     term_key,
     variables,
 )
-from strandkit.theory import AxiomDecl, EquationalTheory, eq_modulo, normalize
+from strandkit.theory import AxiomDecl, EquationalTheory, canon, eq_modulo, \
+    match_ax, normalize
 from strandkit.unify import unify_modulo
 
 SPECS = pathlib.Path(__file__).resolve().parents[1] / "specs"
@@ -292,6 +293,54 @@ def test_ground_completeness_small_universe(th, t1, t2):
         assert _covered(dict(zip(vars_, combo)), vars_, csu, th), \
             (t1, t2, dict(zip(vars_, combo)))
     assert checked > 0
+
+
+# Patterns over X, Y, a, b, c under a free h and exclusive-or, matched
+# against the ground sums of a, b and c.
+MATCH_PATTERNS = st.recursive(
+    st.sampled_from([X, Y, A_, B_, C_]),
+    lambda kids: st.one_of(st.builds(lambda k: App("h", (k,), "Msg"), kids),
+                           st.builds(xor, kids, kids)),
+    max_leaves=6)
+XOR_UNIVERSE = _ground_universe(XOR_TH)
+
+
+@seed(29)
+@settings(max_examples=300, deadline=None)
+@given(MATCH_PATTERNS, st.sampled_from(XOR_UNIVERSE))
+def test_match_ax_is_sound_and_misses_no_ground_instance(pattern, subject):
+    """Every matcher `match_ax` yields makes the pattern equal the subject;
+    and where some instantiation of the pattern over the ground universe
+    equals the subject, it yields a matcher."""
+    got = list(match_ax(canon(pattern, XOR_TH), subject, XOR_TH))
+    for m in got:
+        assert eq_modulo(Subst(m)(pattern), subject, XOR_TH), m
+    vs = sorted(variables(pattern), key=term_key)
+    if any(eq_modulo(Subst(dict(zip(vs, combo)), _trusted=True)(pattern),
+                     subject, XOR_TH)
+           for combo in itertools.product(XOR_UNIVERSE, repeat=len(vs))):
+        assert got
+
+
+def _h(t):
+    return App("h", (t,), "Msg")
+
+
+@pytest.mark.xfail(strict=True, reason="the exclusive-or solver binds a "
+                   "variable only where it occurs in no other atom, and "
+                   "pairs the other atoms with the first one alone")
+@pytest.mark.parametrize("pattern, subject", [
+    # X -> zero, Y -> zero
+    (xor(X, xor(_h(X), _h(Y))), ZERO),
+    # X -> Y * b, Y -> a * b * c
+    (xor(xor(Y, B_), xor(_h(X), _h(xor(Y, B_)))), xor(A_, C_)),
+])
+def test_match_ax_loses_a_ground_instance(pattern, subject):
+    """Ground instances the property above misses on longer runs: each
+    needs a variable that occurs inside another atom to take the unit or
+    a sum of the rest."""
+    assert list(match_ax(canon(pattern, XOR_TH),
+                         normalize(subject, XOR_TH), XOR_TH))
 
 
 # The theories of the shipped specs, untyped: pk/sk, e/d and pk/sk with

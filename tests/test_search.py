@@ -430,6 +430,12 @@ MATCHER_CASES = [
     ("a collector variable absorbs the rest of a sum",
      _state(known=[App("xor", (A, X), "Msg")]),
      _state(known=[App("xor", (A, B, C), "Msg")]), {}, True),
+    ("a variable a sum leaves free is bound by a later fact",
+     _state(known=[App("xor", (X, Y), "Msg"), Y]), _state(known=[A, B]), {},
+     True),
+    ("a disequality reads that binding through",
+     _state(known=[App("xor", (X, Y), "Msg"), Y], diseqs=[(X, C)]),
+     _state(known=[A, B]), {}, True),
     ("a Name variable does not bind a Msg variable",
      _state(known=[Var("N", "Name")]), _state(known=[X]), {}, False),
     ("a Name variable binds a Name", _state(known=[Var("N", "Name")]),

@@ -20,13 +20,16 @@ from strandkit.terms import (
     skeleton,
     subterm_at,
     term_key,
+    tup,
     variables,
 )
 from strandkit.theory import (
     AxiomDecl,
     EquationalTheory,
     StepBudgetExceeded,
+    canon,
     eq_modulo,
+    match_ax,
     normalize,
 )
 from strandkit.unify import (
@@ -265,25 +268,46 @@ def _h(*args):
     return App("h", args, "Msg")
 
 
-@pytest.mark.parametrize("pattern, target", [
+@pytest.mark.parametrize("pattern, target, want", [
     # two leftover arguments of a sum that must cancel
-    (xor(_h(X, Y), _h(const("a"), Y)), ZERO),
-    (xor(X, Y, _h(X, Y)), _h(const("a"), const("a"))),
-    # a variable that a sum leaves free, needed again after it
-    (_h(_h(xor(X, Y)), X), _h(_h(const("c")), const("d"))),
+    (xor(_h(X, Y), _h(const("a"), Y)), ZERO, {X: const("a")}),
+    (xor(X, Y, _h(X, Y)), _h(const("a"), const("a")),
+     {X: const("a"), Y: const("a")}),
+    # a variable that occurs both inside and outside a sum
+    (_h(_h(xor(X, Y)), X), _h(_h(const("c")), const("d")),
+     {X: const("d"), Y: xor(const("c"), const("d"))}),
 ])
-def test_match_modulo_reports_what_it_may_miss(pattern, target):
-    """Each of these has a matcher that `match_ax` does not find: with no
-    completeness flag left, `match_modulo` must report a matcher all the
-    same, since its empty answer says that there is none."""
+def test_match_ax_solves_the_sums_it_used_to_miss(pattern, target, want):
+    """`match_ax` solves the sums of a pattern with the unifier's solver
+    once the free part is matched, so it finds the matcher of each of
+    these on its own; and `match_modulo`, whose empty answer says that
+    there is none, reports one."""
+    got = match_ax(canon(pattern, XOR_TH), canon(target, XOR_TH), XOR_TH)
+    assert list(got) == [{v: canon(t, XOR_TH) for v, t in want.items()}]
     assert any(eq_modulo(s(pattern), target, XOR_TH)
                for s in match_modulo(pattern, target, XOR_TH))
 
 
+@pytest.mark.xfail(strict=True, reason="the exclusive-or solver binds a "
+                   "variable only where it occurs in no other atom, so the "
+                   "answer depends on the order of the atoms")
+def test_a_unifier_lost_in_one_order_of_a_sum():
+    """V1 * W = a and f(V1) * V1 = f(a) * a have the one unifier
+    {V1 -> a, W -> zero}.  The solver finds it, by unification and by
+    matching, when W sorts before V1, and loses it in this naming."""
+    V1, W, a = Var("V1"), Var("W"), const("a")
+    f = lambda t: App("f", (t,), "Msg")
+    pattern = tup((xor(V1, W), xor(f(V1), V1)))
+    target = tup((a, xor(f(a), a)))
+    want = {V1: a, W: ZERO}
+    assert any(dict(s) == want for s in unify_modulo(pattern, target, XOR_TH))
+    assert any(dict(s) == want for s in match_modulo(pattern, target, XOR_TH))
+
+
 def test_match_modulo_unifies_with_the_target_frozen():
-    """Where `match_ax` finds no matcher of a sum, `match_modulo` unifies
-    with the target's variables frozen: they come back unbound in the
-    matchers, and a sum with no matcher still gets none."""
+    """`match_modulo` solves a sum as the unifier does, with the target's
+    variables frozen: they come back unbound in the matchers, and a sum
+    with no matcher gets none."""
     a = Var("A")
     got = match_modulo(xor(X, Y, _h(X, Y)), _h(a, a), XOR_TH)
     assert [dict(s) for s in got] == [{X: a, Y: a}]
